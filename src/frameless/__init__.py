@@ -29,17 +29,17 @@ from .walkgraph import (
 )
 from .closedform import closed_form_w_m3, closed_form_for_topology
 from .evolution import (
+    SINGLE_BS_PEAK,
     EvolutionResult,
     PlrCurve,
     PeakResult,
     default_t_grid,
     diversity_gain,
-    evolve_coop,
-    evolve_noncoop,
+    evolve,
     peak_search,
     plr_curve,
 )
-from .bounds import evolve_lower_bound, lower_bound_plr, upper_bound_throughput
+from .bounds import upper_bound_throughput
 from .simulator import (
     FrameResult,
     MonteCarloResult,
@@ -58,6 +58,3 @@ from .optimizer import (
 )
 
 __version__ = "0.1.0"
-
-SINGLE_BS_PEAK = 0.87
-"""Asymptotic peak throughput of single-BS frameless ALOHA."""

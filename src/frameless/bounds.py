@@ -1,12 +1,14 @@
 """Throughput bounds for cooperative retrieval.
 
-The upper bound is M times the single-BS peak. The lower bound replaces
-the exact retrieval probability with a quadratic-form lower bound on the
-union of per-BS collision-free retrieval events, computed from the event
-probabilities and their pairwise joints; the resulting PLR upper-bounds
-the exact cooperative PLR at every frame length while needing only
-|S(u_i)|(|S(u_i)|+1)/2 terms per group instead of the 3^(I-1) pattern
-enumeration.
+The upper bound is M times the single-BS peak. The lower bound runs the
+shared density-evolution loop of `evolution` with its own w kernel: the
+exact retrieval probability is replaced with a quadratic-form lower bound
+on the union of per-BS collision-free retrieval events, computed from the
+event probabilities and their pairwise joints. The resulting PLR
+upper-bounds the exact cooperative PLR at every frame length while needing
+only |S(u_i)|(|S(u_i)|+1)/2 terms per group instead of the 3^(I-1)
+pattern enumeration. `evolution.evolve(..., mode="bound")` gives it at one
+frame length.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from .evolution import (
     DEFAULT_TOL,
     SINGLE_BS_PEAK,
     BatchEvolution,
-    EvolutionResult,
-    _check_unit,
     _EngineBase,
+    _fixed_point,
 )
-from .topology import NetworkTopology, TargetDegreeVector
+from .topology import NetworkTopology
 
 PIVOT_TOL = 1e-14
 
@@ -111,6 +112,29 @@ class BoundEngine(_EngineBase):
             self._single.append(at_bs)
             self._pairs.append(joins)
 
+    def _w(self, xa, pa, big_r, rho):
+        wa = np.empty_like(xa)
+        for i, singles in enumerate(self._single):
+            m = len(singles)
+            pv = np.empty((len(xa), m))
+            for jj, members in enumerate(singles):
+                pv[:, jj] = rho[:, i] * big_r[:, members].prod(axis=1)
+            if m == 1:
+                bound = pv[:, 0]
+            else:
+                qm = np.empty((len(xa), m, m))
+                kk = 0
+                for j1 in range(m):
+                    qm[:, j1, j1] = pv[:, j1]
+                    for j2 in range(j1 + 1, m):
+                        joint = rho[:, i] * big_r[:, self._pairs[i][kk]].prod(axis=1)
+                        qm[:, j1, j2] = joint
+                        qm[:, j2, j1] = joint
+                        kk += 1
+                bound = _union_lower_bound(pv, qm)
+            wa[:, i] = 1.0 - bound
+        return wa
+
     def evaluate(
         self,
         p_rows,
@@ -120,96 +144,5 @@ class BoundEngine(_EngineBase):
     ) -> BatchEvolution:
         p = np.atleast_2d(np.asarray(p_rows, dtype=float))
         t = np.asarray(t_rows, dtype=np.int64)
-        if (t < 1).any():
-            raise ValueError("slot counts must be >= 1")
-        n_rows, n_groups = p.shape
-        nm1 = np.maximum(self.counts - 1.0, 0.0)
-        x = np.ones((n_rows, n_groups))
-        w = np.ones((n_rows, n_groups))
-        iters = np.zeros(n_rows, dtype=np.int64)
-        conv = np.zeros(n_rows, dtype=bool)
-        act = np.arange(n_rows)
-        for it in range(1, max_iter + 1):
-            xa = x[act]
-            pa = p[act]
-            base = 1.0 - pa * xa
-            big_r = base**self.counts
-            rho = base**nm1
-            wa = np.empty_like(xa)
-            for i in range(n_groups):
-                singles = self._single[i]
-                m = len(singles)
-                pv = np.empty((len(act), m))
-                for jj, members in enumerate(singles):
-                    pv[:, jj] = rho[:, i] * big_r[:, members].prod(axis=1)
-                if m == 1:
-                    bound = pv[:, 0]
-                else:
-                    qm = np.empty((len(act), m, m))
-                    kk = 0
-                    for j1 in range(m):
-                        qm[:, j1, j1] = pv[:, j1]
-                        for j2 in range(j1 + 1, m):
-                            joint = rho[:, i] * big_r[:, self._pairs[i][kk]].prod(
-                                axis=1
-                            )
-                            qm[:, j1, j2] = joint
-                            qm[:, j2, j1] = joint
-                            kk += 1
-                    bound = _union_lower_bound(pv, qm)
-                wa[:, i] = 1.0 - bound
-            _check_unit("w", wa)
-            np.clip(wa, 0.0, 1.0, out=wa)
-            xn = (1.0 - pa + pa * wa) ** (t[act, None] - 1)
-            delta = np.abs(xn - xa).max(axis=1)
-            x[act] = xn
-            w[act] = wa
-            iters[act] = it
-            done = delta < tol
-            conv[act[done]] = True
-            act = act[~done]
-            if act.size == 0:
-                break
+        x, w, iters, conv = _fixed_point(p, self.counts, t, self._w, max_iter, tol)
         return self._finish(p, t, w, x, iters, conv)
-
-
-def evolve_lower_bound(
-    topology: NetworkTopology,
-    degrees,
-    t_slots: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    *,
-    engine: BoundEngine | None = None,
-) -> EvolutionResult:
-    """PLR upper bound (throughput lower bound) at one frame length."""
-    if not isinstance(degrees, TargetDegreeVector):
-        degrees = TargetDegreeVector(tuple(degrees))
-    for gi, grp in zip(degrees.g, topology.groups):
-        if grp.num_users > 0 and gi <= 0:
-            raise ValueError(
-                "the matrix bound needs G > 0 for every populated group"
-            )
-    engine = engine or BoundEngine(topology)
-    out = engine.evaluate_degrees(degrees, [t_slots], max_iter=max_iter, tol=tol)
-    return EvolutionResult(
-        t=t_slots,
-        plr=out.plr_groups[0],
-        w=out.w[0],
-        x=out.x[0],
-        plr_avg=float(out.plr_avg[0]),
-        throughput=float(out.throughput[0]),
-        iterations=int(out.iterations[0]),
-        converged=bool(out.converged[0]),
-    )
-
-
-def lower_bound_plr(
-    topology: NetworkTopology,
-    degrees,
-    t_slots: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Per-group PLR upper bound from the union-bound toy model."""
-    return evolve_lower_bound(topology, degrees, t_slots, max_iter, tol).plr

@@ -20,14 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BoundEngine, upper_bound_throughput
+from .bounds import upper_bound_throughput
 from .evolution import (
-    CoopEngine,
     GuardError,
-    default_t_grid,
+    evolve,
+    make_engine,
     peak_search,
-    plr_curve,
-    evolve_coop,
     simultaneous_transmission_degrees,
 )
 from .optimizer import OptimizationSpec, optimize
@@ -150,14 +148,16 @@ def cmd_analyze(args) -> int:
     mode = args.mode or doc.get("mode", "coop")
     degrees = _degrees_from(doc, topology)
     out_dir = Path(args.out)
-    engine_kw = dict(
-        cache_dir=args.cache_dir, workers=args.workers, allow_long=args.allow_long_running
+    engine = make_engine(
+        topology,
+        mode,
+        cache_dir=args.cache_dir,
+        workers=args.workers,
+        allow_long=args.allow_long_running,
     )
-    if mode == "noncoop":
-        engine_kw = {}
     t_vals = _t_values(doc, topology)
     peak = peak_search(
-        topology, degrees, mode, t_grid=t_vals, points=args.grid_points, **engine_kw
+        topology, degrees, mode, engine=engine, t_grid=t_vals, points=args.grid_points
     )
     curve = peak.curve
     _write(
@@ -178,7 +178,7 @@ def cmd_analyze(args) -> int:
         if mode != "coop":
             raise ConfigError("--trace requires cooperative mode")
         trace_t = int(doc.get("trace_t", peak.t_star))
-        res = evolve_coop(topology, degrees, trace_t, **engine_kw, trace=True)
+        res = evolve(topology, degrees, trace_t, engine=engine, trace=True)
         n_groups = topology.num_groups
         header = "iteration," + ",".join(
             [f"p_r0_g{i+1}" for i in range(n_groups)]

@@ -1,24 +1,27 @@
 """Density evolution of the packet-loss rate, with and without cooperation.
 
-Both modes iterate the erasure fixed point from x^(0) = 1: an iteration
-computes the collision probability w from the previous x and then
-x = lambda(w). Non-cooperative retrieval runs one chain per (group, BS)
-pair and combines per-BS failures with a product approximation; the
-cooperative chain is per group, with w obtained by summing the
+Every analysis iterates the same erasure fixed point from x^(0) = w^(0) = 1:
+an iteration computes the collision probability w from the previous x and
+then x = lambda(w), until no entry of a row moves by tol. One loop,
+`_fixed_point`, runs it for all engines; an engine supplies only its w
+kernel. The cooperative kernel is per group, with w obtained by summing the
 probabilities of every walk-graph pattern from which the target packet
-peels.
+peels. The non-cooperative kernel runs one chain per (group, BS) pair and
+combines per-BS failures with a product approximation; the matrix
+lower-bound kernel lives in `bounds`.
 
-The collision-free part of that sum (initial singleton at some BS) has an
-exact inclusion-exclusion closed form over the target's BS subsets; the
-cooperative-rescue remainder is evaluated on the compressed pattern DAG.
-All engines evaluate batches of (transmission-probability vector, T) rows
-at once, which is what makes the optimizer affordable.
+The collision-free part of the cooperative sum (initial singleton at some
+BS) has an exact inclusion-exclusion closed form over the target's BS
+subsets; the cooperative-rescue remainder is evaluated on the compressed
+pattern DAG. All engines evaluate batches of (transmission-probability
+vector, T) rows at once, which is what makes the optimizer affordable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +36,7 @@ from .walkgraph import (
 
 DEFAULT_MAX_ITER = 2000
 DEFAULT_TOL = 1e-10
+# Asymptotic peak throughput of single-BS frameless ALOHA.
 SINGLE_BS_PEAK = 0.87
 
 # Pattern space beyond 3^6 (more than 7 groups) is gated behind allow_long.
@@ -52,6 +56,44 @@ def _check_unit(name: str, arr: np.ndarray):
     if (arr < -PROB_SLACK).any() or (arr > 1.0 + PROB_SLACK).any():
         bad = arr[(arr < -PROB_SLACK) | (arr > 1.0 + PROB_SLACK)]
         raise FloatingPointError(f"{name}={bad[:4]} outside [0,1] beyond tolerance")
+
+
+def _fixed_point(p, counts, t, w_of, max_iter, tol):
+    """Iterate x = (1 - p + p w)^(T-1) per row from x = w = 1.
+
+    Columns are chains with transmission probability p and population
+    counts. w_of(x, p, R, rho) returns w for the still-active rows, given
+    R = (1 - p x)^N and rho = (1 - p x)^(N-1). A row retires once no entry
+    moves by tol. Returns (x, w, iterations, converged).
+    """
+    if (t < 1).any():
+        raise ValueError("slot counts must be >= 1")
+    nm1 = np.maximum(counts - 1.0, 0.0)
+    x = np.ones(p.shape)
+    w = np.ones(p.shape)
+    iters = np.zeros(p.shape[0], dtype=np.int64)
+    conv = np.zeros(p.shape[0], dtype=bool)
+    act = np.arange(p.shape[0])
+    for it in range(1, max_iter + 1):
+        xa = x[act]
+        pa = p[act]
+        base = 1.0 - pa * xa
+        big_r = base**counts
+        rho = base**nm1
+        wa = w_of(xa, pa, big_r, rho)
+        _check_unit("w", wa)
+        np.clip(wa, 0.0, 1.0, out=wa)
+        xn = (1.0 - pa + pa * wa) ** (t[act, None] - 1)
+        delta = np.abs(xn - xa).max(axis=1)
+        x[act] = xn
+        w[act] = wa
+        iters[act] = it
+        done = delta < tol
+        conv[act[done]] = True
+        act = act[~done]
+        if act.size == 0:
+            break
+    return x, w, iters, conv
 
 
 @dataclass
@@ -182,6 +224,14 @@ class CoopEngine(_EngineBase):
             out[:, i] = dag.evaluate(v)
         return out
 
+    def _w(self, xa, pa, big_r, rho, trace=None):
+        big_c = xa * self.counts * pa * rho
+        p0 = self._p_r0(big_r)
+        p1 = self._p_r1(big_r, big_c)
+        if trace is not None:
+            trace.append((rho[0] * p0[0], rho[0] * p1[0]))
+        return 1.0 - rho * (p0 + p1)
+
     def evaluate(
         self,
         p_rows,
@@ -192,42 +242,12 @@ class CoopEngine(_EngineBase):
     ) -> BatchEvolution:
         p = np.atleast_2d(np.asarray(p_rows, dtype=float))
         t = np.asarray(t_rows, dtype=np.int64)
-        if (t < 1).any():
-            raise ValueError("slot counts must be >= 1")
-        n_rows, n_groups = p.shape
-        if want_trace and n_rows != 1:
+        if want_trace and p.shape[0] != 1:
             raise ValueError("trace recording supports a single row")
-        nm1 = np.maximum(self.counts - 1.0, 0.0)
-        x = np.ones((n_rows, n_groups))
-        w = np.ones((n_rows, n_groups))
-        iters = np.zeros(n_rows, dtype=np.int64)
-        conv = np.zeros(n_rows, dtype=bool)
-        act = np.arange(n_rows)
         trace = [] if want_trace else None
-        for it in range(1, max_iter + 1):
-            xa = x[act]
-            pa = p[act]
-            base = 1.0 - pa * xa
-            big_r = base**self.counts
-            rho = base**nm1
-            big_c = xa * self.counts * pa * rho
-            p0 = self._p_r0(big_r)
-            p1 = self._p_r1(big_r, big_c)
-            wa = 1.0 - rho * (p0 + p1)
-            _check_unit("w", wa)
-            np.clip(wa, 0.0, 1.0, out=wa)
-            xn = (1.0 - pa + pa * wa) ** (t[act, None] - 1)
-            if trace is not None:
-                trace.append((rho[0] * p0[0], rho[0] * p1[0]))
-            delta = np.abs(xn - xa).max(axis=1)
-            x[act] = xn
-            w[act] = wa
-            iters[act] = it
-            done = delta < tol
-            conv[act[done]] = True
-            act = act[~done]
-            if act.size == 0:
-                break
+        x, w, iters, conv = _fixed_point(
+            p, self.counts, t, partial(self._w, trace=trace), max_iter, tol
+        )
         return self._finish(p, t, w, x, iters, conv, trace)
 
 
@@ -266,6 +286,14 @@ class NoncoopEngine(_EngineBase):
             self.pair_group, np.arange(topology.num_groups)
         )
 
+    def _w(self, xa, pa, big_r, rho):
+        wa = np.empty_like(xa)
+        for sel in self.bs_pairs:
+            if sel.size == 0:
+                continue
+            wa[:, sel] = 1.0 - rho[:, sel] * _leave_one_out(big_r[:, sel])
+        return wa
+
     def evaluate(
         self,
         p_rows,
@@ -275,41 +303,14 @@ class NoncoopEngine(_EngineBase):
     ) -> BatchEvolution:
         p = np.atleast_2d(np.asarray(p_rows, dtype=float))
         t = np.asarray(t_rows, dtype=np.int64)
-        if (t < 1).any():
-            raise ValueError("slot counts must be >= 1")
-        n_rows = p.shape[0]
-        pp = p[:, self.pair_group]
-        nn = self.counts[self.pair_group]
-        nm1 = np.maximum(nn - 1.0, 0.0)
-        n_pairs = len(self.pair_group)
-        x = np.ones((n_rows, n_pairs))
-        w = np.ones((n_rows, n_pairs))
-        iters = np.zeros(n_rows, dtype=np.int64)
-        conv = np.zeros(n_rows, dtype=bool)
-        act = np.arange(n_rows)
-        for it in range(1, max_iter + 1):
-            xa = x[act]
-            pa = pp[act]
-            base = 1.0 - pa * xa
-            big_r = base**nn
-            rho = base**nm1
-            wa = np.empty_like(xa)
-            for sel in self.bs_pairs:
-                if sel.size == 0:
-                    continue
-                wa[:, sel] = 1.0 - rho[:, sel] * _leave_one_out(big_r[:, sel])
-            _check_unit("w", wa)
-            np.clip(wa, 0.0, 1.0, out=wa)
-            xn = (1.0 - pa + pa * wa) ** (t[act, None] - 1)
-            delta = np.abs(xn - xa).max(axis=1)
-            x[act] = xn
-            w[act] = wa
-            iters[act] = it
-            done = delta < tol
-            conv[act[done]] = True
-            act = act[~done]
-            if act.size == 0:
-                break
+        x, w, iters, conv = _fixed_point(
+            p[:, self.pair_group],
+            self.counts[self.pair_group],
+            t,
+            self._w,
+            max_iter,
+            tol,
+        )
         # w_i ~ product of the per-BS collision probabilities.
         w_group = np.multiply.reduceat(w, self.group_offsets, axis=1)
         x_group = np.minimum.reduceat(x, self.group_offsets, axis=1)
@@ -342,23 +343,33 @@ def make_engine(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def evolve_coop(
+def evolve(
     topology: NetworkTopology,
     degrees,
     t_slots: int,
+    mode: str = "coop",
+    *,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    *,
+    engine=None,
     trace: bool = False,
-    engine: CoopEngine | None = None,
     **engine_kw,
 ) -> EvolutionResult:
-    """Cooperative per-group PLR at one frame length, optionally with the
-    per-iteration decomposition into collision-free and rescue retrievals."""
-    engine = engine or CoopEngine(topology, **engine_kw)
-    out = engine.evaluate_degrees(
-        degrees, [t_slots], max_iter=max_iter, tol=tol, want_trace=trace
-    )
+    """Per-group PLR at one frame length for mode "coop", "noncoop" or
+    "bound" (PLR upper bound, throughput lower bound). trace=True records
+    the cooperative per-iteration decomposition into collision-free and
+    rescue retrievals."""
+    if not isinstance(degrees, TargetDegreeVector):
+        degrees = TargetDegreeVector(tuple(degrees))
+    if mode == "bound" and any(
+        grp.num_users > 0 and gi <= 0 for gi, grp in zip(degrees.g, topology.groups)
+    ):
+        raise ValueError("the matrix bound needs G > 0 for every populated group")
+    if trace and mode != "coop":
+        raise ValueError("trace recording needs the cooperative mode")
+    engine = engine or make_engine(topology, mode, **engine_kw)
+    kw = {"want_trace": True} if trace else {}
+    out = engine.evaluate_degrees(degrees, [t_slots], max_iter=max_iter, tol=tol, **kw)
     return EvolutionResult(
         t=t_slots,
         plr=out.plr_groups[0],
@@ -370,30 +381,6 @@ def evolve_coop(
         converged=bool(out.converged[0]),
         trace_r0=out.trace_r0,
         trace_r1=out.trace_r1,
-    )
-
-
-def evolve_noncoop(
-    topology: NetworkTopology,
-    degrees,
-    t_slots: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    *,
-    engine: NoncoopEngine | None = None,
-) -> EvolutionResult:
-    """Non-cooperative per-group PLR at one frame length."""
-    engine = engine or NoncoopEngine(topology)
-    out = engine.evaluate_degrees(degrees, [t_slots], max_iter=max_iter, tol=tol)
-    return EvolutionResult(
-        t=t_slots,
-        plr=out.plr_groups[0],
-        w=out.w[0],
-        x=out.x[0],
-        plr_avg=float(out.plr_avg[0]),
-        throughput=float(out.throughput[0]),
-        iterations=int(out.iterations[0]),
-        converged=bool(out.converged[0]),
     )
 
 
@@ -485,7 +472,6 @@ def batched_peak_search(
     p_mat: np.ndarray,
     *,
     t_grid=None,
-    points: int = 41,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> list[dict[int, tuple]]:
@@ -594,7 +580,7 @@ def peak_search(
     if t_grid is None:
         t_grid = default_t_grid(topology, points)
     seen = batched_peak_search(
-        engine, p[None, :], t_grid=t_grid, points=points, max_iter=max_iter, tol=tol
+        engine, p[None, :], t_grid=t_grid, max_iter=max_iter, tol=tol
     )[0]
     t_star = max(seen, key=lambda t: (seen[t][0], -t))
     thr, plr_avg, plr_groups, conv = seen[t_star]

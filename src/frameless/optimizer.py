@@ -102,6 +102,8 @@ class FitnessResult:
     t_star: int
     feasible: bool
     success_fraction: float
+    # Whether the density evolution at t_star converged within max_iter.
+    converged: bool = True
 
     @property
     def value(self) -> float:
@@ -123,6 +125,7 @@ class OptimizationResult:
     classes: tuple[tuple[int, ...], ...]
     n_evaluations: int
     seed: int
+    converged: bool = True
 
     def summary(self) -> dict:
         return {
@@ -131,6 +134,7 @@ class OptimizationResult:
             "t_star": self.t_star,
             "feasible": self.feasible,
             "success_fraction": self.success_fraction,
+            "converged": self.converged,
             "generations": len(self.history) - 1,
             "history": list(self.history),
             "classes": [list(c) for c in self.classes],
@@ -145,13 +149,14 @@ def _quantize(g: np.ndarray) -> tuple[int, ...]:
 
 def _result_from_peak(spec: OptimizationSpec, peak: dict[int, tuple]) -> FitnessResult:
     t_star = max(peak, key=lambda t: (peak[t][0], -t))
-    throughput, plr_avg, _, _ = peak[t_star]
+    throughput, plr_avg, _, converged = peak[t_star]
     success = 1.0 - plr_avg
     return FitnessResult(
         throughput=throughput,
         t_star=t_star,
         feasible=success > spec.alpha,
         success_fraction=success,
+        converged=converged,
     )
 
 
@@ -313,4 +318,5 @@ def optimize(
         classes=classes,
         n_evaluations=len(evaluator.cache),
         seed=int(seed),
+        converged=best_fit.converged,
     )

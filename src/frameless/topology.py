@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -101,10 +101,6 @@ class NetworkTopology:
             )
         return tuple(out)
 
-    def bs_list(self, group: int) -> tuple[int, ...]:
-        """1-based BS indices of S(u_i)."""
-        return self.groups[group].bs_set
-
 
 def full_topology(num_bs: int, counts) -> NetworkTopology:
     """Topology with all 2^M - 1 non-empty BS subsets, ascending bitmask order.
@@ -188,19 +184,12 @@ class TargetDegreeVector:
     """Per-group target degrees G_i. Transmission probability is p_i = G_i/N_i."""
 
     g: tuple[float, ...]
-    tie_classes: tuple[tuple[int, ...], ...] | None = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "g", tuple(float(v) for v in self.g))
         for v in self.g:
             if v < 0:
                 raise TopologyError(f"negative target degree {v}")
-        if self.tie_classes is not None:
-            object.__setattr__(
-                self,
-                "tie_classes",
-                tuple(tuple(int(i) for i in c) for c in self.tie_classes),
-            )
 
     def probabilities(self, topology: NetworkTopology) -> tuple[float, ...]:
         """p_i = G_i / N_i per group; 0 for empty groups. Errors if any p_i > 1."""

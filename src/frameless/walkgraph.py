@@ -19,6 +19,7 @@ groups in ascending group order, first companion most significant.
 from __future__ import annotations
 
 import os
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,16 +170,22 @@ def save_table(table: RetrievabilityTable, topology: NetworkTopology, cache_dir=
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = _table_path(cache_dir, structure_fingerprint(topology), table.target)
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez_compressed(
-        tmp,
-        version=np.int64(CACHE_VERSION),
-        target=np.int64(table.target),
-        num_groups=np.int64(table.num_groups),
-        retrievable=np.packbits(table.retrievable),
-        singleton=np.packbits(table.singleton),
-    )
-    tmp.replace(path)
+    # A private temp file per writer, so concurrent builders of the same
+    # table never write into each other's file; os.replace is atomic.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez_compressed(
+                fh,
+                version=np.int64(CACHE_VERSION),
+                target=np.int64(table.target),
+                num_groups=np.int64(table.num_groups),
+                retrievable=np.packbits(table.retrievable),
+                singleton=np.packbits(table.singleton),
+            )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -199,7 +206,8 @@ def load_table(topology: NetworkTopology, target: int, cache_dir=None):
                 retrievable=np.unpackbits(z["retrievable"], count=n_pat).astype(bool),
                 singleton=np.unpackbits(z["singleton"], count=n_pat).astype(bool),
             )
-    except (OSError, KeyError, ValueError):
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
+        # Unreadable (truncated, empty, foreign) files count as a miss.
         return None
 
 

@@ -31,8 +31,7 @@ from frameless.bounds import BoundEngine, upper_bound_throughput
 from frameless.closedform import closed_form_for_topology
 from frameless.evolution import (
     CoopEngine,
-    evolve_coop,
-    evolve_noncoop,
+    evolve,
     peak_search,
     simultaneous_transmission_degrees,
 )
@@ -415,13 +414,13 @@ def test_c8_small_instance_oracle(topo_tiny):
         ok &= dev <= 3.0
     # asymptotic analysis against the exhaustive mean, both retrieval modes
     exact_mean_plr = float((dist * (6 - np.arange(7))).sum() / 6)
-    de_nc = evolve_noncoop(topo_tiny, (1.0, 1.0, 1.0), t_slots)
+    de_nc = evolve(topo_tiny, (1.0, 1.0, 1.0), t_slots, "noncoop")
     # lighter load for the cooperative check: at p=0.5 a 6-user graph is
     # far outside the asymptotic regime the analysis assumes
     from test_evolution import exhaustive_tiny_plr
 
     exact_coop_light = exhaustive_tiny_plr(topo_tiny, (0.75,) * 3, t_slots, share=True)
-    de_coop = evolve_coop(topo_tiny, (0.75,) * 3, t_slots, persist_tables=False)
+    de_coop = evolve(topo_tiny, (0.75,) * 3, t_slots, persist_tables=False)
     exact_nc = exhaustive_tiny_plr(topo_tiny, (1.0,) * 3, t_slots, share=False)
     gap_nc = abs(de_nc.plr_avg - exact_nc)
     gap_coop = abs(de_coop.plr_avg - exact_coop_light)
@@ -451,11 +450,11 @@ def test_c9_monotone_closure_and_pattern_mass():
         # monotone non-increasing x across iterations
         prev = None
         for it in range(1, 9):
-            res = evolve_coop(topo, g, t, max_iter=it, persist_tables=False)
+            res = evolve(topo, g, t, max_iter=it, persist_tables=False)
             if prev is not None:
                 ok &= bool((res.x <= prev + 1e-12).all())
             prev = res.x
-        full = evolve_coop(topo, g, t, persist_tables=False)
+        full = evolve(topo, g, t, persist_tables=False)
         for arr in (full.plr, full.w, full.x):
             ok &= bool((arr >= -1e-9).all() and (arr <= 1 + 1e-9).all())
         # sum of all pattern probabilities equals the sole-survivor factor
@@ -490,8 +489,8 @@ def test_c9_coop_vs_noncoop_ordering():
             for grp in topo.groups
         )
         t = int(rng.integers(5, 200))
-        rc = evolve_coop(topo, g, t, persist_tables=False)
-        rn = evolve_noncoop(topo, g, t)
+        rc = evolve(topo, g, t, persist_tables=False)
+        rn = evolve(topo, g, t, "noncoop")
         if rc.plr_avg > rn.plr_avg + 1e-9:
             violations.append(rc.plr_avg - rn.plr_avg)
     ok = not violations

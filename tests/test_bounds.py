@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from frameless.bounds import (
     BoundEngine,
-    evolve_lower_bound,
-    lower_bound_plr,
     solve_gauss_batched,
     upper_bound_throughput,
 )
-from frameless.evolution import evolve_coop
+from frameless.evolution import evolve
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
 from conftest import random_topology
 
@@ -29,8 +27,8 @@ def test_upper_bound_rejects_zero():
 def test_single_bs_bound_is_exact(topo_m1):
     # 1x1 system: p Q^-1 p^t = p, identical to the cooperative analysis
     for t in (9000, 10615, 12000):
-        rb = evolve_lower_bound(topo_m1, (3.10,), t)
-        rc = evolve_coop(topo_m1, (3.10,), t, persist_tables=False)
+        rb = evolve(topo_m1, (3.10,), t, "bound")
+        rc = evolve(topo_m1, (3.10,), t, persist_tables=False)
         assert rb.plr_avg == pytest.approx(rc.plr_avg, abs=1e-9)
 
 
@@ -78,8 +76,8 @@ def test_singular_falls_back_to_max():
 def test_bound_plr_dominates_exact(topo_m2):
     g = (1.81, 1.81, 1.68)
     for t in (12000, 14000, 16000, 18000):
-        pb = lower_bound_plr(topo_m2, g, t)
-        pc = evolve_coop(topo_m2, g, t, persist_tables=False).plr
+        pb = evolve(topo_m2, g, t, "bound").plr
+        pc = evolve(topo_m2, g, t, persist_tables=False).plr
         assert (pb >= pc - 1e-9).all()
 
 
@@ -95,8 +93,8 @@ def test_bound_ordering_random(seed):
         for grp in topo.groups
     )
     t = int(rng.integers(5, 150))
-    rb = evolve_lower_bound(topo, g, t)
-    rc = evolve_coop(topo, g, t, persist_tables=False)
+    rb = evolve(topo, g, t, "bound")
+    rc = evolve(topo, g, t, persist_tables=False)
     assert (rb.plr >= rc.plr - 1e-9).all()
     assert rb.throughput <= rc.throughput + 1e-9
 
@@ -104,10 +102,10 @@ def test_bound_ordering_random(seed):
 def test_zero_degree_rejected_by_bound_wrapper():
     topo = full_topology(2, [10, 10, 10])
     with pytest.raises(ValueError, match="G > 0"):
-        evolve_lower_bound(topo, (0.0, 1.0, 1.0), 10)
+        evolve(topo, (0.0, 1.0, 1.0), 10, "bound")
 
 
 def test_zero_degree_on_empty_group_allowed():
     topo = full_topology(2, [10, 10, 0])
-    res = evolve_lower_bound(topo, (1.0, 1.0, 0.0), 20)
+    res = evolve(topo, (1.0, 1.0, 0.0), 20, "bound")
     assert res.plr[2] == 1.0

@@ -9,8 +9,8 @@ from frameless.evolution import (
     PlrCurve,
     default_t_grid,
     diversity_gain,
-    evolve_coop,
-    evolve_noncoop,
+    evolve,
+    make_engine,
     peak_search,
     plr_curve,
     simultaneous_transmission_degrees,
@@ -18,6 +18,9 @@ from frameless.evolution import (
 from frameless.walkgraph import GuardError, pattern_mass
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
 from conftest import random_topology
+
+MODES = ("coop", "noncoop", "bound")
+LOOP_FIELDS = ("w", "x", "plr_groups", "iterations", "converged")
 
 
 def exhaustive_tiny_plr(topo, g, t_slots, share):
@@ -86,34 +89,34 @@ def exhaustive_tiny_plr(topo, g, t_slots, share):
 def test_noncoop_matches_exhaustive_tiny(topo_tiny):
     # finite-size gap acknowledged; the asymptotic analysis sits within 0.05
     exact = exhaustive_tiny_plr(topo_tiny, (1.0, 1.0, 1.0), 3, share=False)
-    de = evolve_noncoop(topo_tiny, (1.0, 1.0, 1.0), 3)
+    de = evolve(topo_tiny, (1.0, 1.0, 1.0), 3, "noncoop")
     assert de.plr_avg == pytest.approx(exact, abs=0.05)
 
 
 def test_coop_matches_exhaustive_tiny_light_load(topo_tiny):
     exact = exhaustive_tiny_plr(topo_tiny, (0.75, 0.75, 0.75), 3, share=True)
-    de = evolve_coop(topo_tiny, (0.75, 0.75, 0.75), 3, persist_tables=False)
+    de = evolve(topo_tiny, (0.75, 0.75, 0.75), 3, persist_tables=False)
     assert de.plr_avg == pytest.approx(exact, abs=0.05)
 
 
 def test_zero_degrees_lose_everything(topo_m2):
-    res = evolve_coop(topo_m2, (0.0, 0.0, 0.0), 100, persist_tables=False)
+    res = evolve(topo_m2, (0.0, 0.0, 0.0), 100, persist_tables=False)
     assert np.allclose(res.plr, 1.0)
-    res_nc = evolve_noncoop(topo_m2, (0.0, 0.0, 0.0), 100)
+    res_nc = evolve(topo_m2, (0.0, 0.0, 0.0), 100, "noncoop")
     assert np.allclose(res_nc.plr, 1.0)
 
 
 def test_empty_group_reports_plr_one():
     topo = full_topology(2, (10000, 10000, 0))
-    res = evolve_coop(topo, (3.098, 3.098, 0.0), 11000, persist_tables=False)
+    res = evolve(topo, (3.098, 3.098, 0.0), 11000, persist_tables=False)
     assert res.plr[2] == 1.0
     assert res.plr[0] < 0.2  # populated groups still decode
 
 
 def test_m1_coop_equals_noncoop(topo_m1):
     for t in (5000, 9000, 11000, 15000):
-        rc = evolve_coop(topo_m1, (3.10,), t, persist_tables=False)
-        rn = evolve_noncoop(topo_m1, (3.10,), t)
+        rc = evolve(topo_m1, (3.10,), t, persist_tables=False)
+        rn = evolve(topo_m1, (3.10,), t, "noncoop")
         assert rc.plr_avg == pytest.approx(rn.plr_avg, abs=1e-9)
 
 
@@ -121,8 +124,8 @@ def test_disjoint_bs_coop_equals_noncoop():
     # no overlap: cooperation has nothing to share
     topo = NetworkTopology(2, (GroupSpec(0b01, 5000), GroupSpec(0b10, 5000)))
     for t in (2000, 3000, 4000):
-        rc = evolve_coop(topo, (3.0, 3.0), t, persist_tables=False)
-        rn = evolve_noncoop(topo, (3.0, 3.0), t)
+        rc = evolve(topo, (3.0, 3.0), t, persist_tables=False)
+        rn = evolve(topo, (3.0, 3.0), t, "noncoop")
         assert np.abs(rc.plr - rn.plr).max() < 1e-9
 
 
@@ -130,24 +133,24 @@ def test_monotone_x_iterates(topo_m2):
     g = (1.81, 1.81, 1.68)
     prev = None
     for max_iter in range(1, 16):
-        res = evolve_coop(topo_m2, g, 16000, max_iter=max_iter, persist_tables=False)
+        res = evolve(topo_m2, g, 16000, max_iter=max_iter, persist_tables=False)
         if prev is not None:
             assert (res.x <= prev + 1e-12).all()
         prev = res.x
 
 
 def test_probability_closure(topo_m2):
-    res = evolve_coop(topo_m2, (1.81, 1.81, 1.68), 16000, persist_tables=False)
+    res = evolve(topo_m2, (1.81, 1.81, 1.68), 16000, persist_tables=False)
     for arr in (res.plr, res.w, res.x):
         assert (arr >= -1e-9).all() and (arr <= 1 + 1e-9).all()
 
 
 def test_convergence_flag():
     topo = full_topology(1, [10000])
-    res = evolve_coop(topo, (3.10,), 11000, max_iter=3, persist_tables=False)
+    res = evolve(topo, (3.10,), 11000, max_iter=3, persist_tables=False)
     assert not res.converged
     assert res.iterations == 3
-    res2 = evolve_coop(topo, (3.10,), 11000, persist_tables=False)
+    res2 = evolve(topo, (3.10,), 11000, persist_tables=False)
     assert res2.converged
 
 
@@ -167,7 +170,7 @@ def test_coop_not_worse_on_reference_networks():
         pc = peak_search(topo, g, "coop", persist_tables=False)
         pn = peak_search(topo, g, "noncoop")
         assert pc.throughput >= pn.throughput - 1e-9
-        rn = evolve_noncoop(topo, g, pc.t_star)
+        rn = evolve(topo, g, pc.t_star, "noncoop")
         assert pc.plr_avg <= rn.plr_avg + 1e-9
 
 
@@ -179,9 +182,9 @@ def test_product_approximation_squares_shared_failures():
     topo = NetworkTopology(2, (GroupSpec(0b11, 5000),))
     single = full_topology(1, [5000])
     for t in (1200, 1600, 2000):
-        rc = evolve_coop(topo, (3.0,), t, persist_tables=False)
-        rn = evolve_noncoop(topo, (3.0,), t)
-        ref = evolve_coop(single, (3.0,), t, persist_tables=False)
+        rc = evolve(topo, (3.0,), t, persist_tables=False)
+        rn = evolve(topo, (3.0,), t, "noncoop")
+        ref = evolve(single, (3.0,), t, persist_tables=False)
         assert rc.plr_avg == pytest.approx(ref.plr_avg, abs=1e-9)
         assert rn.w[0] == pytest.approx(rc.w[0] ** 2, abs=1e-9)
         assert rn.plr_avg <= rc.plr_avg + 1e-12
@@ -197,15 +200,15 @@ def test_probabilities_stay_unit_random(seed):
         for grp in topo.groups
     )
     t = int(rng.integers(1, 300))
-    res = evolve_coop(topo, g, t, persist_tables=False)
+    res = evolve(topo, g, t, persist_tables=False)
     for arr in (res.plr, res.w, res.x):
         assert (arr >= -1e-9).all() and (arr <= 1 + 1e-9).all()
 
 
 def test_trace_decomposition(topo_m3):
     engine = CoopEngine(topo_m3, persist_tables=False)
-    res = evolve_coop(topo_m3, (1.11, 1.11, 0.94, 1.11, 0.94, 0.94, 0.78),
-                      25777, engine=engine, trace=True)
+    res = evolve(topo_m3, (1.11, 1.11, 0.94, 1.11, 0.94, 0.94, 0.78),
+                 25777, engine=engine, trace=True)
     assert res.trace_r0.shape == (res.iterations, 7)
     # w at the last iteration is exactly 1 - (P_r0 + P_r1)
     w_from_trace = 1.0 - (res.trace_r0[-1] + res.trace_r1[-1])
@@ -272,9 +275,33 @@ def test_empty_t_range_rejected(topo_m1):
         plr_curve(topo_m1, (3.10,), [], mode="coop")
 
 
-def test_t_below_one_rejected(topo_m1):
+@pytest.mark.parametrize("mode", MODES)
+def test_t_below_one_rejected(topo_m1, mode):
     with pytest.raises(ValueError):
-        evolve_coop(topo_m1, (3.10,), 0, persist_tables=False)
+        evolve(topo_m1, (3.10,), 0, mode, persist_tables=False)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_rows_match_rows_alone(topo_m2, mode):
+    # mixed loads and frame lengths retire at different iterations, and a
+    # short max_iter leaves some rows unconverged
+    engine = make_engine(topo_m2, mode, persist_tables=False)
+    g = np.array([[1.81, 1.81, 1.68], [0.4, 0.9, 0.2], [2.6, 2.2, 2.4], [1.0, 1.0, 1.0]])
+    p = np.repeat(g / 10000.0, 2, axis=0)
+    t = np.array([16000, 9000, 14000, 30000, 12000, 20000, 5000, 16000])
+    for max_iter in (2000, 20):
+        batch = engine.evaluate(p, t, max_iter=max_iter)
+        assert len(set(batch.iterations)) > 2
+        if max_iter == 20:
+            assert 0 < batch.converged.sum() < len(t)
+        for k in range(len(t)):
+            alone = engine.evaluate(p[k : k + 1], t[k : k + 1], max_iter=max_iter)
+            for name in LOOP_FIELDS:
+                assert np.array_equal(getattr(batch, name)[k], getattr(alone, name)[0])
+            # plr_avg and throughput are BLAS matrix-vector products, whose
+            # rounding depends on the row's place in the batch.
+            assert batch.throughput[k] == pytest.approx(alone.throughput[0], rel=1e-15)
+            assert batch.plr_avg[k] == pytest.approx(alone.plr_avg[0], rel=1e-15)
 
 
 def test_simultaneous_transmission_degrees(topo_m2):

@@ -132,3 +132,14 @@ def test_fast_scaling():
     assert spec.scaled(True).population == 50
     assert spec.scaled(True).generations == 15
     assert spec.scaled(False) is spec
+
+
+def test_converged_flag_carried(small_spec):
+    from dataclasses import replace
+
+    g = (1.7, 1.7, 1.5)
+    assert fitness(small_spec, g).converged
+    short = replace(small_spec, max_iter=3)
+    assert not fitness(short, g).converged
+    res = optimize(replace(short, population=4, generations=1), seed=0)
+    assert res.summary()["converged"] is False

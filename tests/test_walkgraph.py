@@ -110,6 +110,52 @@ def test_cache_roundtrip(tmp_path):
     assert set(tables) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("damage", ["truncated", "empty"])
+def test_damaged_cache_file_rebuilt(tmp_path, damage):
+    topo = full_topology(2, [5, 5, 5])
+    path = save_table(build_retrievability_table(topo, 1), topo, cache_dir=tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2] if damage == "truncated" else b"")
+    assert load_table(topo, 1, cache_dir=tmp_path) is None
+    tables = load_or_build_tables(topo, cache_dir=tmp_path)
+    reloaded = load_table(topo, 1, cache_dir=tmp_path)
+    assert reloaded is not None
+    assert np.array_equal(reloaded.retrievable, tables[1].retrievable)
+
+
+def _save_repeatedly(cache_dir, barrier):
+    topo = full_topology(2, [5, 5, 5])
+    tables = [build_retrievability_table(topo, t) for t in range(3)]
+    barrier.wait()
+    for _ in range(30):
+        for table in tables:
+            save_table(table, topo, cache_dir=cache_dir)
+
+
+def test_concurrent_writers(tmp_path):
+    import multiprocessing
+
+    ctx = multiprocessing.get_context()
+    barrier = ctx.Barrier(2)
+    procs = [
+        ctx.Process(target=_save_repeatedly, args=(str(tmp_path), barrier))
+        for _ in range(2)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npz"] * 3
+    topo = full_topology(2, [5, 5, 5])
+    for t in range(3):
+        loaded = load_table(topo, t, cache_dir=tmp_path)
+        assert loaded is not None
+        assert np.array_equal(
+            loaded.retrievable, build_retrievability_table(topo, t).retrievable
+        )
+
+
 def test_compute_w_trivial_cases():
     topo = full_topology(2, [5, 5, 5])
     tables = load_or_build_tables(topo, persist=False)
