@@ -94,45 +94,40 @@ class BoundEngine(_EngineBase):
 
     def __init__(self, topology: NetworkTopology):
         super().__init__(topology)
-        # Per group: companion index lists at each BS and at each BS pair.
-        self._single: list[list[np.ndarray]] = []
-        self._pairs: list[list[np.ndarray]] = []
+        # Targets grouped by their BS count m. Per class, one member list
+        # per target and Q entry: the companions at each single BS (the
+        # diagonal), then at each BS pair (the upper triangle, row-major).
+        # Lists are padded with the index of an appended column of ones.
+        n_groups = topology.num_groups
+        by_degree: dict[int, list[int]] = {}
         for i, g in enumerate(topology.groups):
-            at_bs = []
-            for j in g.bs_set:
-                members = set(topology.groups_at_bs[j - 1]) - {i}
-                at_bs.append(np.array(sorted(members), dtype=np.intp))
-            joins = []
-            for j1, j2 in combinations(range(len(g.bs_set)), 2):
-                members = (
-                    set(topology.groups_at_bs[g.bs_set[j1] - 1])
-                    | set(topology.groups_at_bs[g.bs_set[j2] - 1])
-                ) - {i}
-                joins.append(np.array(sorted(members), dtype=np.intp))
-            self._single.append(at_bs)
-            self._pairs.append(joins)
+            by_degree.setdefault(g.degree, []).append(i)
+        self._classes = []
+        for m, targets in sorted(by_degree.items()):
+            lists = []
+            for i in targets:
+                at_bs = [set(topology.groups_at_bs[j - 1]) - {i} for j in topology.groups[i].bs_set]
+                joins = [at_bs[j1] | at_bs[j2] for j1, j2 in combinations(range(m), 2)]
+                lists.append([sorted(s) for s in at_bs + joins])
+            width = max(len(s) for row in lists for s in row)
+            idx = np.full((len(targets), len(lists[0]), width), n_groups, dtype=np.intp)
+            for t, row in enumerate(lists):
+                for k, members in enumerate(row):
+                    idx[t, k, : len(members)] = members
+            # Q entry (j1, j2) -> its list: j on the diagonal, else the pair.
+            slot = np.diag(np.arange(m))
+            upper = np.triu_indices(m, 1)
+            slot[upper] = slot.T[upper] = m + np.arange(len(upper[0]))
+            self._classes.append((m, np.array(targets, dtype=np.intp), idx, slot))
 
     def _w(self, xa, pa, big_r, rho):
+        ext = np.concatenate([big_r, np.ones((len(big_r), 1))], axis=1)
         wa = np.empty_like(xa)
-        for i, singles in enumerate(self._single):
-            m = len(singles)
-            pv = np.empty((len(xa), m))
-            for jj, members in enumerate(singles):
-                pv[:, jj] = rho[:, i] * big_r[:, members].prod(axis=1)
-            if m == 1:
-                bound = pv[:, 0]
-            else:
-                qm = np.empty((len(xa), m, m))
-                kk = 0
-                for j1 in range(m):
-                    qm[:, j1, j1] = pv[:, j1]
-                    for j2 in range(j1 + 1, m):
-                        joint = rho[:, i] * big_r[:, self._pairs[i][kk]].prod(axis=1)
-                        qm[:, j1, j2] = joint
-                        qm[:, j2, j1] = joint
-                        kk += 1
-                bound = _union_lower_bound(pv, qm)
-            wa[:, i] = 1.0 - bound
+        for m, targets, idx, slot in self._classes:
+            terms = rho[:, targets, None] * ext[:, idx].prod(axis=-1)
+            p = terms[:, :, :m].reshape(-1, m)
+            q = terms[:, :, slot].reshape(-1, m, m)
+            wa[:, targets] = 1.0 - _union_lower_bound(p, q).reshape(len(xa), -1)
         return wa
 
     def evaluate(

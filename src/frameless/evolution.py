@@ -188,41 +188,46 @@ class CoopEngine(_EngineBase):
         self.tables = load_or_build_tables(
             topology, cache_dir=cache_dir, workers=workers, persist=persist_tables
         )
-        self.dags = {
-            i: PatternDag(self.tables[i].rescue, companion_order(n_groups, i))
-            for i in range(n_groups)
-        }
+        # One levelized rescue DAG over all targets.
+        self.dag = PatternDag(
+            np.array([self.tables[i].rescue for i in range(n_groups)]),
+            [companion_order(n_groups, i) for i in range(n_groups)],
+        )
         # Inclusion-exclusion terms for the initial-singleton probability:
-        # per target, (sign, companion indices at the union of a BS subset).
-        self._singleton_terms: list[list[tuple[float, np.ndarray]]] = []
+        # per target and term, the sign and the companions at the union of a
+        # BS subset. Terms and members are padded with sign 0 and with the
+        # index of an appended column of ones.
+        terms = []
         for i, g in enumerate(topology.groups):
-            terms = []
+            row = []
             for size in range(1, g.degree + 1):
                 for subset in combinations(g.bs_set, size):
                     members = set()
                     for j in subset:
                         members.update(topology.groups_at_bs[j - 1])
                     members.discard(i)
-                    terms.append(
-                        ((-1.0) ** (size + 1), np.array(sorted(members), dtype=np.intp))
-                    )
-            self._singleton_terms.append(terms)
+                    row.append(((-1.0) ** (size + 1), sorted(members)))
+            terms.append(row)
+        n_terms = max(len(row) for row in terms)
+        n_members = max(len(m) for row in terms for _, m in row)
+        self._r0_sign = np.zeros((n_groups, n_terms))
+        self._r0_idx = np.full((n_groups, n_terms, n_members), n_groups, dtype=np.intp)
+        for i, row in enumerate(terms):
+            for k, (sign, members) in enumerate(row):
+                self._r0_sign[i, k] = sign
+                self._r0_idx[i, k, : len(members)] = members
 
     def _p_r0(self, big_r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(big_r)
-        for i, terms in enumerate(self._singleton_terms):
-            acc = 0.0
-            for sign, members in terms:
-                acc = acc + sign * big_r[:, members].prod(axis=1)
-            out[:, i] = acc
-        return out
+        ext = np.concatenate([big_r, np.ones((len(big_r), 1))], axis=1)
+        prods = ext[:, self._r0_idx].prod(axis=-1)
+        acc = np.zeros_like(big_r)
+        for k in range(prods.shape[2]):
+            acc = acc + self._r0_sign[:, k] * prods[:, :, k]
+        return acc
 
     def _p_r1(self, big_r: np.ndarray, big_c: np.ndarray) -> np.ndarray:
         v = np.stack([big_r.T, big_c.T, (1.0 - big_r - big_c).T])
-        out = np.empty_like(big_r)
-        for i, dag in self.dags.items():
-            out[:, i] = dag.evaluate(v)
-        return out
+        return self.dag.evaluate(v).T
 
     def _w(self, xa, pa, big_r, rho, trace=None):
         big_c = xa * self.counts * pa * rho
@@ -252,17 +257,18 @@ class CoopEngine(_EngineBase):
 
 
 def _leave_one_out(a: np.ndarray) -> np.ndarray:
-    """Per-column product of all other columns, without division."""
-    n, k = a.shape
+    """Per-entry product of all other entries on the last axis, without
+    division."""
+    k = a.shape[-1]
     if k == 1:
         return np.ones_like(a)
-    fwd = np.cumprod(a, axis=1)
-    bwd = np.cumprod(a[:, ::-1], axis=1)[:, ::-1]
+    fwd = np.cumprod(a, axis=-1)
+    bwd = np.cumprod(a[..., ::-1], axis=-1)[..., ::-1]
     out = np.empty_like(a)
-    out[:, 0] = bwd[:, 1]
-    out[:, -1] = fwd[:, -2]
+    out[..., 0] = bwd[..., 1]
+    out[..., -1] = fwd[..., -2]
     if k > 2:
-        out[:, 1:-1] = fwd[:, :-2] * bwd[:, 2:]
+        out[..., 1:-1] = fwd[..., :-2] * bwd[..., 2:]
     return out
 
 
@@ -277,21 +283,27 @@ class NoncoopEngine(_EngineBase):
             for j in topology.groups[i].bs_set
         ]
         self.pair_group = np.array([i for i, _ in pairs], dtype=np.intp)
-        self.bs_pairs = [
-            np.array([k for k, (_, j) in enumerate(pairs) if j == b], dtype=np.intp)
-            for b in range(1, topology.num_bs + 1)
-        ]
+        # (M, k_max) pair indices per BS, padded at the end with the index
+        # of an appended column of ones; padding there leaves the forward
+        # and backward products of the real entries exact.
+        bs_pairs = [[k for k, (_, j) in enumerate(pairs) if j == b]
+                    for b in range(1, topology.num_bs + 1)]
+        width = max(len(sel) for sel in bs_pairs)
+        self._bs_idx = np.full((topology.num_bs, width), len(pairs), dtype=np.intp)
+        for b, sel in enumerate(bs_pairs):
+            self._bs_idx[b, : len(sel)] = sel
+        self._bs_real = self._bs_idx < len(pairs)
+        self._pair_at = self._bs_idx[self._bs_real]
         # Pairs are emitted group-major, so per-group reduction is contiguous.
         self.group_offsets = np.searchsorted(
             self.pair_group, np.arange(topology.num_groups)
         )
 
     def _w(self, xa, pa, big_r, rho):
+        ext = np.concatenate([big_r, np.ones((len(big_r), 1))], axis=1)
+        loo = _leave_one_out(ext[:, self._bs_idx])[:, self._bs_real]
         wa = np.empty_like(xa)
-        for sel in self.bs_pairs:
-            if sel.size == 0:
-                continue
-            wa[:, sel] = 1.0 - rho[:, sel] * _leave_one_out(big_r[:, sel])
+        wa[:, self._pair_at] = 1.0 - rho[:, self._pair_at] * loo
         return wa
 
     def evaluate(

@@ -291,46 +291,57 @@ def compute_w_coop(
 
 
 class PatternDag:
-    """Quasi-reduced ternary decision DAG over a pattern subset.
+    """Quasi-reduced ternary decision DAG over pattern subsets, levelized.
 
-    Compresses a boolean table over 3^K companion patterns by merging
-    identical subtrees level by level, so the per-iteration sum
+    Compresses boolean tables over 3^K companion patterns by merging
+    identical subtrees level by level (a quasi-reduced MDD), so the sum
     sum_k mask[k] * prod_i V[state_i, i] evaluates in O(nodes) instead of
     O(3^K), vectorized over any trailing batch shape of V.
+
+    masks is one table of length 3^K with its companion tuple, or an
+    (R, 3^K) stack with one companion tuple per row: every root has K
+    companions, so level l of all roots lines up and one pass over the
+    levels evaluates all R sums. Level nodes carry (child indices into the
+    level below, the group whose digit they consume); the leaves 0 and 1
+    are shared.
     """
 
-    def __init__(self, mask: np.ndarray, companions: tuple[int, ...]):
-        k = len(companions)
-        if len(mask) != 3**k:
+    def __init__(self, masks: np.ndarray, companions):
+        masks = np.asarray(masks)
+        self.single = masks.ndim == 1
+        if self.single:
+            masks, companions = masks[None], [tuple(companions)]
+        comps = np.array(companions, dtype=np.intp).reshape(len(masks), -1)
+        k = comps.shape[1]
+        if masks.shape[1] != 3**k:
             raise ValueError("mask length must be 3^K")
-        self.companions = companions
-        ids = mask.astype(np.int64)
-        levels = []
-        for _ in range(k):
-            triples = ids.reshape(-1, 3)
-            uniq, inverse = np.unique(triples, axis=0, return_inverse=True)
-            levels.append(uniq)
-            ids = inverse.reshape(-1).astype(np.int64)
-        self.levels = levels  # levels[0] consumes the last companion digit
-        self.root = int(ids[0]) if k > 0 else int(mask[0])
-        self.num_nodes = sum(len(lv) for lv in levels)
-        self.empty = not mask.any()
+        ids = masks.astype(np.intp)
+        self.children: list[np.ndarray] = []
+        self.groups: list[np.ndarray] = []
+        # Level l consumes the (l+1)-th last companion digit of every root.
+        for pos in range(k - 1, -1, -1):
+            triples = ids.reshape(len(masks), -1, 3)
+            grp = np.broadcast_to(comps[:, pos, None, None], triples.shape[:2] + (1,))
+            keys = np.concatenate([grp, triples], axis=2).reshape(-1, 4)
+            uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+            self.groups.append(uniq[:, 0])
+            self.children.append(uniq[:, 1:])
+            ids = inverse.reshape(len(masks), -1)
+        self.roots = ids[:, 0]
+        self.num_nodes = sum(len(g) for g in self.groups)
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
-        """v has shape (3, I) or (3, I, B); returns scalar or (B,) sums."""
-        batch = v.shape[2:]
-        if self.empty:
-            return np.zeros(batch) if batch else 0.0
-        if not self.companions:
-            return np.full(batch, float(self.root)) if batch else float(self.root)
-        vals = np.zeros((2,) + batch)
+        """v has shape (3, I) or (3, I, B); returns (R,) or (R, B) sums
+        (a scalar or (B,) for a single mask)."""
+        vals = np.zeros((2,) + v.shape[2:])
         vals[1] = 1.0
-        # levels[0] merges over the least significant (last) companion.
-        for level, group in zip(self.levels, reversed(self.companions)):
+        for children, grp in zip(self.children, self.groups):
             vals = (
-                vals[level[:, 0]] * v[0, group]
-                + vals[level[:, 1]] * v[1, group]
-                + vals[level[:, 2]] * v[2, group]
+                vals[children[:, 0]] * v[0, grp]
+                + vals[children[:, 1]] * v[1, grp]
+                + vals[children[:, 2]] * v[2, grp]
             )
-        out = vals[self.root]
-        return out if batch else float(out)
+        out = vals[self.roots]
+        if self.single:
+            return out[0] if out.ndim > 1 else float(out[0])
+        return out
