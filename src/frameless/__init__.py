@@ -14,17 +14,10 @@ from .topology import (
     load_topology,
     serialize_topology,
 )
-from .degrees import (
-    DegreePolynomial,
-    edge_perspective,
-    observation_node_dist,
-    variable_node_dist,
-)
 from .walkgraph import (
     GuardError,
     RetrievabilityTable,
     build_retrievability_table,
-    compute_w_coop,
     load_or_build_tables,
 )
 from .closedform import closed_form_w_m3, closed_form_for_topology

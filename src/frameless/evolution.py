@@ -4,7 +4,7 @@ Every analysis iterates the same erasure fixed point from x^(0) = w^(0) = 1:
 an iteration computes the collision probability w from the previous x and
 then x = lambda(w), until no entry of a row moves by tol. One loop,
 `_fixed_point`, runs it for all engines; an engine supplies only its w
-kernel. The cooperative kernel is per group, with w obtained by summing the
+kernel. The cooperative kernel gives each group's w by summing the
 probabilities of every walk-graph pattern from which the target packet
 peels. The non-cooperative kernel runs one chain per (group, BS) pair and
 combines per-BS failures with a product approximation; the matrix
@@ -13,8 +13,10 @@ lower-bound kernel lives in `bounds`.
 The collision-free part of the cooperative sum (initial singleton at some
 BS) has an exact inclusion-exclusion closed form over the target's BS
 subsets; the cooperative-rescue remainder is evaluated on the compressed
-pattern DAG. All engines evaluate batches of (transmission-probability
-vector, T) rows at once, which is what makes the optimizer affordable.
+pattern DAG. Each kernel covers all targets at once (padded gathers, one
+levelized DAG holding every target), and all engines evaluate batches of
+(transmission-probability vector, T) rows at once, which is what makes
+the optimizer affordable.
 """
 
 from __future__ import annotations

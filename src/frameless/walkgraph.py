@@ -18,6 +18,7 @@ groups in ascending group order, first companion most significant.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ import numpy as np
 from .topology import NetworkTopology, structure_fingerprint
 
 CACHE_ENV = "FRAMELESS_CACHE_DIR"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 # 3^(I-1) enumeration is refused beyond this many groups.
 MAX_GROUPS = 15
@@ -166,10 +167,18 @@ def _table_path(cache_dir: Path, fingerprint: str, target: int) -> Path:
     return cache_dir / f"walktab-v{CACHE_VERSION}-{fingerprint}-t{target}.npz"
 
 
+def _checksum(retrievable: np.ndarray, singleton: np.ndarray) -> str:
+    """SHA-256 of the packed table arrays."""
+    return hashlib.sha256(retrievable.tobytes() + singleton.tobytes()).hexdigest()
+
+
 def save_table(table: RetrievabilityTable, topology: NetworkTopology, cache_dir=None):
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = _table_path(cache_dir, structure_fingerprint(topology), table.target)
+    fingerprint = structure_fingerprint(topology)
+    path = _table_path(cache_dir, fingerprint, table.target)
+    retrievable = np.packbits(table.retrievable)
+    singleton = np.packbits(table.singleton)
     # A private temp file per writer, so concurrent builders of the same
     # table never write into each other's file; os.replace is atomic.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -178,10 +187,12 @@ def save_table(table: RetrievabilityTable, topology: NetworkTopology, cache_dir=
             np.savez_compressed(
                 fh,
                 version=np.int64(CACHE_VERSION),
+                fingerprint=np.str_(fingerprint),
                 target=np.int64(table.target),
                 num_groups=np.int64(table.num_groups),
-                retrievable=np.packbits(table.retrievable),
-                singleton=np.packbits(table.singleton),
+                retrievable=retrievable,
+                singleton=singleton,
+                checksum=np.str_(_checksum(retrievable, singleton)),
             )
         os.replace(tmp, path)
     finally:
@@ -190,24 +201,37 @@ def save_table(table: RetrievabilityTable, topology: NetworkTopology, cache_dir=
 
 
 def load_table(topology: NetworkTopology, target: int, cache_dir=None):
+    """The cached table, or None on a miss.
+
+    Missing, unreadable (truncated, empty, foreign), other-version and
+    mislabelled files (a fingerprint, target or payload checksum that does
+    not match) all count as a miss.
+    """
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    path = _table_path(cache_dir, structure_fingerprint(topology), target)
+    fingerprint = structure_fingerprint(topology)
+    path = _table_path(cache_dir, fingerprint, target)
     if not path.exists():
         return None
     try:
         with np.load(path) as z:
-            if int(z["version"]) != CACHE_VERSION:
+            if (
+                int(z["version"]) != CACHE_VERSION
+                or str(z["fingerprint"]) != fingerprint
+                or int(z["target"]) != target
+            ):
+                return None
+            retrievable, singleton = z["retrievable"], z["singleton"]
+            if str(z["checksum"]) != _checksum(retrievable, singleton):
                 return None
             n_groups = int(z["num_groups"])
             n_pat = 3 ** (n_groups - 1)
             return RetrievabilityTable(
-                target=int(z["target"]),
+                target=target,
                 num_groups=n_groups,
-                retrievable=np.unpackbits(z["retrievable"], count=n_pat).astype(bool),
-                singleton=np.unpackbits(z["singleton"], count=n_pat).astype(bool),
+                retrievable=np.unpackbits(retrievable, count=n_pat).astype(bool),
+                singleton=np.unpackbits(singleton, count=n_pat).astype(bool),
             )
     except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
-        # Unreadable (truncated, empty, foreign) files count as a miss.
         return None
 
 
@@ -233,61 +257,6 @@ def load_or_build_tables(
                     pass
         out[t] = table
     return out
-
-
-def pattern_mass(
-    topology: NetworkTopology, target: int, probs_r, probs_c, mask=None
-) -> float:
-    """Sum over companion patterns of prod_i V[state_i, i] (excluding r_target).
-
-    With mask=None this sums every pattern and equals 1 when each group's
-    three state probabilities are consistent (R + C + (1-R-C) = 1).
-    """
-    n_groups = topology.num_groups
-    n_pat = 3 ** (n_groups - 1)
-    probs_r = np.asarray(probs_r, dtype=float)
-    probs_c = np.asarray(probs_c, dtype=float)
-    v = np.stack([probs_r, probs_c, 1.0 - probs_r - probs_c])
-    comps = list(companion_order(n_groups, target))
-    total = 0.0
-    for lo in range(0, n_pat, _CHUNK):
-        hi = min(lo + _CHUNK, n_pat)
-        states = pattern_states(n_groups, target, lo, hi)
-        terms = v[states[:, comps], comps].prod(axis=1)
-        if mask is not None:
-            terms = terms[mask[lo:hi]]
-        total += float(terms.sum())
-    return total
-
-
-def compute_w_coop(
-    topology: NetworkTopology,
-    tables: dict[int, RetrievabilityTable],
-    probs_r,
-    probs_c,
-    probs_rho,
-    target: int,
-) -> float:
-    """w = 1 - sum over retrievable patterns of the pattern probability.
-
-    probs_r, probs_c are the per-group no-edge / one-edge probabilities;
-    probs_rho[target] is the probability that the target's packet is its
-    group's sole un-retrieved transmission. Direct pattern-sum reference
-    path; the evolution engine uses a compressed equivalent.
-    """
-    if target not in tables:
-        raise KeyError(f"no retrievability table for target {target}")
-    probs_r = np.asarray(probs_r, dtype=float)
-    probs_c = np.asarray(probs_c, dtype=float)
-    if ((probs_r + probs_c) > 1.0 + 1e-9).any():
-        raise ValueError("R + C exceeds 1")
-    mass = pattern_mass(
-        topology, target, probs_r, probs_c, mask=tables[target].retrievable
-    )
-    w = 1.0 - float(np.asarray(probs_rho, dtype=float)[target]) * mass
-    if w < -1e-6 or w > 1.0 + 1e-6:
-        raise ValueError(f"w={w} outside [0,1] beyond float tolerance")
-    return min(max(w, 0.0), 1.0)
 
 
 class PatternDag:

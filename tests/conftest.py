@@ -73,3 +73,17 @@ def random_topology(rng: np.random.Generator, max_bs: int = 3, max_users: int = 
     if all(g.num_users == 0 for g in groups):
         groups = groups[:-1] + (GroupSpec(groups[-1].bs_mask, 1 + int(rng.integers(max_users))),)
     return NetworkTopology(num_bs=m, groups=groups)
+
+
+def edge_topologies():
+    """Networks that reach the corner cases of the fused w kernels: a single
+    group (no companions), a zero-user group, and a target with an empty
+    rescue mask (the all-BS group of the full 3-BS network)."""
+    return [
+        NetworkTopology(num_bs=1, groups=(GroupSpec(0b1, 5),)),
+        NetworkTopology(
+            num_bs=2,
+            groups=(GroupSpec(0b01, 0), GroupSpec(0b10, 4), GroupSpec(0b11, 3)),
+        ),
+        full_topology(3, [3] * 7),
+    ]

@@ -1,13 +1,17 @@
-"""Degree-distribution algebra for the transmission graph.
+"""Reference paths that only the tests use.
 
-Node-perspective distributions of a user transmitting with probability p
-are binomial: over T slots for variable nodes, over the N_i group members
-for observation nodes. Edge-perspective distributions follow by the
-derivative identity lambda(x) = L'(x)/L'(1).
+Degree-distribution algebra for the transmission graph: node-perspective
+distributions of a user transmitting with probability p are binomial, over
+T slots for variable nodes and over the N_i group members for observation
+nodes; edge-perspective distributions follow by the derivative identity
+lambda(x) = L'(x)/L'(1). Binomial coefficient masses are computed in log
+space so N up to 1e5 is safe, and tiny tails are truncated; polynomials
+known to be binomial also carry (n, p) so evaluation can use the exact
+closed form (1-p+p*x)^n, which is what the engines use directly.
 
-Binomial coefficient masses are computed in log space so N up to 1e5 is
-safe, and tiny tails are truncated; polynomials known to be binomial also
-carry (n, p) so evaluation can use the exact closed form (1-p+p*x)^n.
+Walk-graph pattern sums: the direct 3^(I-1) enumeration of the pattern
+probabilities that the engines evaluate through the compressed DAG and the
+inclusion-exclusion closed form.
 """
 
 from __future__ import annotations
@@ -16,6 +20,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from frameless.topology import NetworkTopology
+from frameless.walkgraph import (
+    _CHUNK,
+    RetrievabilityTable,
+    companion_order,
+    pattern_states,
+)
 
 # Tail mass below which binomial coefficient sequences are truncated.
 TAIL_TOL = 1e-14
@@ -130,3 +142,58 @@ def edge_perspective(d: DegreePolynomial) -> DegreePolynomial:
         raise ValueError("edge perspective undefined for mean degree 0")
     ks = np.arange(1, len(d.coeffs))
     return DegreePolynomial(d.coeffs[1:] * ks / mean)
+
+
+def pattern_mass(
+    topology: NetworkTopology, target: int, probs_r, probs_c, mask=None
+) -> float:
+    """Sum over companion patterns of prod_i V[state_i, i] (excluding r_target).
+
+    With mask=None this sums every pattern and equals 1 when each group's
+    three state probabilities are consistent (R + C + (1-R-C) = 1).
+    """
+    n_groups = topology.num_groups
+    n_pat = 3 ** (n_groups - 1)
+    probs_r = np.asarray(probs_r, dtype=float)
+    probs_c = np.asarray(probs_c, dtype=float)
+    v = np.stack([probs_r, probs_c, 1.0 - probs_r - probs_c])
+    comps = list(companion_order(n_groups, target))
+    total = 0.0
+    for lo in range(0, n_pat, _CHUNK):
+        hi = min(lo + _CHUNK, n_pat)
+        states = pattern_states(n_groups, target, lo, hi)
+        terms = v[states[:, comps], comps].prod(axis=1)
+        if mask is not None:
+            terms = terms[mask[lo:hi]]
+        total += float(terms.sum())
+    return total
+
+
+def compute_w_coop(
+    topology: NetworkTopology,
+    tables: dict[int, RetrievabilityTable],
+    probs_r,
+    probs_c,
+    probs_rho,
+    target: int,
+) -> float:
+    """w = 1 - sum over retrievable patterns of the pattern probability.
+
+    probs_r, probs_c are the per-group no-edge / one-edge probabilities;
+    probs_rho[target] is the probability that the target's packet is its
+    group's sole un-retrieved transmission. Direct pattern-sum reference
+    path; the evolution engine uses a compressed equivalent.
+    """
+    if target not in tables:
+        raise KeyError(f"no retrievability table for target {target}")
+    probs_r = np.asarray(probs_r, dtype=float)
+    probs_c = np.asarray(probs_c, dtype=float)
+    if ((probs_r + probs_c) > 1.0 + 1e-9).any():
+        raise ValueError("R + C exceeds 1")
+    mass = pattern_mass(
+        topology, target, probs_r, probs_c, mask=tables[target].retrievable
+    )
+    w = 1.0 - float(np.asarray(probs_rho, dtype=float)[target]) * mass
+    if w < -1e-6 or w > 1.0 + 1e-6:
+        raise ValueError(f"w={w} outside [0,1] beyond float tolerance")
+    return min(max(w, 0.0), 1.0)

@@ -40,11 +40,10 @@ from frameless.simulator import SimulationSpec, monte_carlo
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
 from frameless.walkgraph import (
     build_retrievability_table,
-    compute_w_coop,
     load_or_build_tables,
-    pattern_mass,
 )
 from conftest import long_running, random_topology
+from oracles import compute_w_coop, pattern_mass
 
 WORKERS = min(2, os.cpu_count() or 1)
 

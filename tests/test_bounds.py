@@ -10,7 +10,7 @@ from frameless.bounds import (
 )
 from frameless.evolution import evolve
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
-from conftest import random_topology
+from conftest import edge_topologies, random_topology
 
 
 def test_upper_bound_values():
@@ -109,3 +109,31 @@ def test_zero_degree_on_empty_group_allowed():
     topo = full_topology(2, [10, 10, 0])
     res = evolve(topo, (1.0, 1.0, 0.0), 20, "bound")
     assert res.plr[2] == 1.0
+
+
+def direct_bound_w(topo, big_r, rho):
+    """1 - p Q^-1 p^t per group and row, solved with numpy one at a time."""
+    w = np.empty_like(big_r)
+    for b in range(len(big_r)):
+        for i, g in enumerate(topo.groups):
+            at_bs = [set(topo.groups_at_bs[j - 1]) - {i} for j in g.bs_set]
+
+            def mass(members):
+                return rho[b, i] * np.prod(big_r[b, sorted(members)])
+
+            p = np.array([mass(s) for s in at_bs])
+            q = np.array([[mass(s | t) for t in at_bs] for s in at_bs])
+            # identical companion sets at two BSs make Q singular
+            bound = p.max() if np.linalg.cond(q) > 1e12 else p @ np.linalg.solve(q, p)
+            w[b, i] = 1.0 - np.clip(bound, 0.0, min(1.0, p.sum()))
+    return w
+
+
+def test_fused_bound_kernel_matches_direct_solve():
+    rng = np.random.default_rng(13)
+    for topo in edge_topologies() + [random_topology(rng) for _ in range(15)]:
+        n = topo.num_groups
+        big_r = rng.uniform(0.05, 1.0, size=(3, n))
+        rho = rng.uniform(0.05, 1.0, size=(3, n))
+        w = BoundEngine(topo)._w(np.ones_like(big_r), None, big_r, rho)
+        assert np.allclose(w, direct_bound_w(topo, big_r, rho), rtol=0.0, atol=1e-12)

@@ -8,7 +8,8 @@ from frameless.closedform import (
     closed_form_w_m3,
 )
 from frameless.topology import full_topology
-from frameless.walkgraph import compute_w_coop, load_or_build_tables
+from frameless.walkgraph import load_or_build_tables
+from oracles import compute_w_coop
 
 
 def test_all_silent_gives_zero_w():

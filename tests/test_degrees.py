@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frameless.degrees import (
+from oracles import (
     DegreePolynomial,
     edge_perspective,
     observation_node_dist,

@@ -15,9 +15,10 @@ from frameless.evolution import (
     plr_curve,
     simultaneous_transmission_degrees,
 )
-from frameless.walkgraph import GuardError, pattern_mass
+from frameless.walkgraph import GuardError
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
-from conftest import random_topology
+from conftest import edge_topologies, random_topology
+from oracles import pattern_mass
 
 MODES = ("coop", "noncoop", "bound")
 LOOP_FIELDS = ("w", "x", "plr_groups", "iterations", "converged")
@@ -230,6 +231,39 @@ def test_engine_p_r0_p_r1_match_pattern_sums(topo_m3):
         ref1 = pattern_mass(topo_m3, gi, big_r[0], big_c[0], mask=table.rescue)
         assert p0[0, gi] == pytest.approx(ref0, abs=1e-12)
         assert p1[0, gi] == pytest.approx(ref1, abs=1e-12)
+
+
+def test_fused_coop_kernel_matches_pattern_sums():
+    rng = np.random.default_rng(11)
+    for topo in edge_topologies() + [random_topology(rng) for _ in range(15)]:
+        engine = CoopEngine(topo, persist_tables=False)
+        n = topo.num_groups
+        big_r = rng.random((3, n))
+        big_c = rng.random((3, n)) * (1 - big_r)
+        p0 = engine._p_r0(big_r)
+        p1 = engine._p_r1(big_r, big_c)
+        assert p0.shape == p1.shape == (3, n)
+        for b in range(3):
+            for gi in range(n):
+                table = engine.tables[gi]
+                ref0 = pattern_mass(topo, gi, big_r[b], big_c[b], mask=table.singleton)
+                ref1 = pattern_mass(topo, gi, big_r[b], big_c[b], mask=table.rescue)
+                assert p0[b, gi] == pytest.approx(ref0, abs=1e-12)
+                assert p1[b, gi] == pytest.approx(ref1, abs=1e-12)
+
+
+def test_fused_noncoop_kernel_matches_per_bs_products():
+    rng = np.random.default_rng(12)
+    for topo in edge_topologies() + [random_topology(rng) for _ in range(15)]:
+        engine = NoncoopEngine(topo)
+        pairs = [(i, j) for i, g in enumerate(topo.groups) for j in g.bs_set]
+        big_r = rng.random((3, len(pairs)))
+        rho = rng.random((3, len(pairs)))
+        w = engine._w(np.ones_like(big_r), None, big_r, rho)
+        for k, (_, j) in enumerate(pairs):
+            others = [o for o, (_, jj) in enumerate(pairs) if jj == j and o != k]
+            expected = 1.0 - rho[:, k] * big_r[:, others].prod(axis=1)
+            assert np.allclose(w[:, k], expected, rtol=0.0, atol=1e-12)
 
 
 def test_guard_without_allow_long():

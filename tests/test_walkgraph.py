@@ -3,21 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameless.topology import full_topology
+from frameless.topology import GroupSpec, NetworkTopology, full_topology, structure_fingerprint
 from frameless.walkgraph import (
     GuardError,
     PatternDag,
     RetrievabilityTable,
     build_retrievability_table,
     companion_order,
-    compute_w_coop,
     load_or_build_tables,
     load_table,
-    pattern_mass,
     pattern_states,
     save_table,
 )
-from conftest import random_topology
+from conftest import edge_topologies, random_topology
+from oracles import compute_w_coop, pattern_mass
 
 # appendix group convention: positions 0..6 are
 # {1},{2},{3},{1,2},{2,3},{1,3},{1,2,3}
@@ -123,6 +122,47 @@ def test_damaged_cache_file_rebuilt(tmp_path, damage):
     assert np.array_equal(reloaded.retrievable, tables[1].retrievable)
 
 
+def test_cache_file_of_other_topology_rebuilt(tmp_path):
+    topo = full_topology(2, [5, 5, 5])
+    other = NetworkTopology(
+        num_bs=2, groups=(GroupSpec(0b11, 5), GroupSpec(0b01, 5), GroupSpec(0b10, 5))
+    )
+    stale = build_retrievability_table(topo, 1)
+    expected = build_retrievability_table(other, 1)
+    assert not np.array_equal(stale.retrievable, expected.retrievable)
+    path = save_table(stale, topo, cache_dir=tmp_path)
+    path.rename(
+        path.with_name(
+            path.name.replace(structure_fingerprint(topo), structure_fingerprint(other))
+        )
+    )
+    assert load_table(other, 1, cache_dir=tmp_path) is None
+    tables = load_or_build_tables(other, cache_dir=tmp_path)
+    assert np.array_equal(tables[1].retrievable, expected.retrievable)
+    reloaded = load_table(other, 1, cache_dir=tmp_path)
+    assert reloaded is not None
+    assert np.array_equal(reloaded.retrievable, expected.retrievable)
+    assert np.array_equal(reloaded.singleton, expected.singleton)
+
+
+def test_flipped_payload_byte_rebuilt(tmp_path):
+    # the archive stays valid; only the stored checksum catches the flip
+    topo = full_topology(2, [5, 5, 5])
+    expected = build_retrievability_table(topo, 1)
+    path = save_table(expected, topo, cache_dir=tmp_path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["retrievable"][0] ^= 0x80
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+    assert load_table(topo, 1, cache_dir=tmp_path) is None
+    tables = load_or_build_tables(topo, cache_dir=tmp_path)
+    assert np.array_equal(tables[1].retrievable, expected.retrievable)
+    reloaded = load_table(topo, 1, cache_dir=tmp_path)
+    assert reloaded is not None
+    assert np.array_equal(reloaded.retrievable, expected.retrievable)
+
+
 def _save_repeatedly(cache_dir, barrier):
     topo = full_topology(2, [5, 5, 5])
     tables = [build_retrievability_table(topo, t) for t in range(3)]
@@ -216,6 +256,32 @@ def test_dag_batch_evaluation():
     batched = dag.evaluate(v)
     for b in range(5):
         assert batched[b] == pytest.approx(dag.evaluate(v[:, :, b]), abs=1e-12)
+
+
+def test_fused_dag_matches_per_root_direct_sums():
+    rng = np.random.default_rng(7)
+    topos = edge_topologies() + [random_topology(rng) for _ in range(15)]
+    saw_no_companions = saw_empty_mask = False
+    for topo in topos:
+        n = topo.num_groups
+        tables = [build_retrievability_table(topo, i) for i in range(n)]
+        comps = [companion_order(n, i) for i in range(n)]
+        r = rng.random((n, 4))
+        c = rng.random((n, 4)) * (1 - r)
+        v = np.stack([r, c, 1 - r - c])
+        saw_no_companions |= n == 1
+        for kind in ("retrievable", "singleton", "rescue"):
+            masks = np.array([getattr(table, kind) for table in tables])
+            saw_empty_mask |= not masks.any(axis=1).all()
+            fused = PatternDag(masks, comps).evaluate(v)
+            assert fused.shape == (n, 4)
+            for i in range(n):
+                # a single root runs the same node arithmetic
+                assert np.array_equal(fused[i], PatternDag(masks[i], comps[i]).evaluate(v))
+                for b in range(4):
+                    direct = pattern_mass(topo, i, r[:, b], c[:, b], mask=masks[i])
+                    assert fused[i, b] == pytest.approx(direct, abs=1e-12)
+    assert saw_no_companions and saw_empty_mask
 
 
 def test_pattern_states_mixed_radix():
