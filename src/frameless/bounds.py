@@ -24,6 +24,8 @@ from .evolution import (
     BatchEvolution,
     _EngineBase,
     _fixed_point,
+    _padded,
+    _with_ones,
 )
 from .topology import NetworkTopology
 
@@ -94,10 +96,9 @@ class BoundEngine(_EngineBase):
 
     def __init__(self, topology: NetworkTopology):
         super().__init__(topology)
-        # Targets grouped by their BS count m. Per class, one member list
-        # per target and Q entry: the companions at each single BS (the
+        # Targets grouped by their BS count m. Per class and target, one
+        # member list per Q entry: the companions at each single BS (the
         # diagonal), then at each BS pair (the upper triangle, row-major).
-        # Lists are padded with the index of an appended column of ones.
         n_groups = topology.num_groups
         by_degree: dict[int, list[int]] = {}
         for i, g in enumerate(topology.groups):
@@ -106,14 +107,14 @@ class BoundEngine(_EngineBase):
         for m, targets in sorted(by_degree.items()):
             lists = []
             for i in targets:
-                at_bs = [set(topology.groups_at_bs[j - 1]) - {i} for j in topology.groups[i].bs_set]
+                at_bs = [
+                    set(topology.groups_at_bs[j - 1]) - {i}
+                    for j in topology.groups[i].bs_set
+                ]
                 joins = [at_bs[j1] | at_bs[j2] for j1, j2 in combinations(range(m), 2)]
-                lists.append([sorted(s) for s in at_bs + joins])
-            width = max(len(s) for row in lists for s in row)
-            idx = np.full((len(targets), len(lists[0]), width), n_groups, dtype=np.intp)
-            for t, row in enumerate(lists):
-                for k, members in enumerate(row):
-                    idx[t, k, : len(members)] = members
+                lists += [sorted(s) for s in at_bs + joins]
+            idx = _padded(lists, n_groups)
+            idx = idx.reshape(len(targets), len(lists) // len(targets), idx.shape[1])
             # Q entry (j1, j2) -> its list: j on the diagonal, else the pair.
             slot = np.diag(np.arange(m))
             upper = np.triu_indices(m, 1)
@@ -121,7 +122,7 @@ class BoundEngine(_EngineBase):
             self._classes.append((m, np.array(targets, dtype=np.intp), idx, slot))
 
     def _w(self, xa, pa, big_r, rho):
-        ext = np.concatenate([big_r, np.ones((len(big_r), 1))], axis=1)
+        ext = _with_ones(big_r)
         wa = np.empty_like(xa)
         for m, targets, idx, slot in self._classes:
             terms = rho[:, targets, None] * ext[:, idx].prod(axis=-1)

@@ -60,6 +60,20 @@ def _check_unit(name: str, arr: np.ndarray):
         raise FloatingPointError(f"{name}={bad[:4]} outside [0,1] beyond tolerance")
 
 
+def _padded(lists, fill: int) -> np.ndarray:
+    """Index lists as one (len(lists), longest) array, each row padded at
+    its end with fill. Kernels pad with the index of the ones column that
+    `_with_ones` appends, so a padded factor multiplies by exactly 1."""
+    out = np.full((len(lists), max(map(len, lists))), fill, dtype=np.intp)
+    for r, row in enumerate(lists):
+        out[r, : len(row)] = row
+    return out
+
+
+def _with_ones(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, np.ones((len(a), 1))], axis=1)
+
+
 def _fixed_point(p, counts, t, w_of, max_iter, tol):
     """Iterate x = (1 - p + p w)^(T-1) per row from x = w = 1.
 
@@ -211,17 +225,13 @@ class CoopEngine(_EngineBase):
                     row.append(((-1.0) ** (size + 1), sorted(members)))
             terms.append(row)
         n_terms = max(len(row) for row in terms)
-        n_members = max(len(m) for row in terms for _, m in row)
-        self._r0_sign = np.zeros((n_groups, n_terms))
-        self._r0_idx = np.full((n_groups, n_terms, n_members), n_groups, dtype=np.intp)
-        for i, row in enumerate(terms):
-            for k, (sign, members) in enumerate(row):
-                self._r0_sign[i, k] = sign
-                self._r0_idx[i, k, : len(members)] = members
+        terms = [row + [(0.0, [])] * (n_terms - len(row)) for row in terms]
+        self._r0_sign = np.array([[sign for sign, _ in row] for row in terms])
+        idx = _padded([members for row in terms for _, members in row], n_groups)
+        self._r0_idx = idx.reshape(n_groups, n_terms, idx.shape[1])
 
     def _p_r0(self, big_r: np.ndarray) -> np.ndarray:
-        ext = np.concatenate([big_r, np.ones((len(big_r), 1))], axis=1)
-        prods = ext[:, self._r0_idx].prod(axis=-1)
+        prods = _with_ones(big_r)[:, self._r0_idx].prod(axis=-1)
         acc = np.zeros_like(big_r)
         for k in range(prods.shape[2]):
             acc = acc + self._r0_sign[:, k] * prods[:, :, k]
@@ -288,12 +298,11 @@ class NoncoopEngine(_EngineBase):
         # (M, k_max) pair indices per BS, padded at the end with the index
         # of an appended column of ones; padding there leaves the forward
         # and backward products of the real entries exact.
-        bs_pairs = [[k for k, (_, j) in enumerate(pairs) if j == b]
-                    for b in range(1, topology.num_bs + 1)]
-        width = max(len(sel) for sel in bs_pairs)
-        self._bs_idx = np.full((topology.num_bs, width), len(pairs), dtype=np.intp)
-        for b, sel in enumerate(bs_pairs):
-            self._bs_idx[b, : len(sel)] = sel
+        self._bs_idx = _padded(
+            [[k for k, (_, j) in enumerate(pairs) if j == b]
+             for b in range(1, topology.num_bs + 1)],
+            len(pairs),
+        )
         self._bs_real = self._bs_idx < len(pairs)
         self._pair_at = self._bs_idx[self._bs_real]
         # Pairs are emitted group-major, so per-group reduction is contiguous.
@@ -302,8 +311,7 @@ class NoncoopEngine(_EngineBase):
         )
 
     def _w(self, xa, pa, big_r, rho):
-        ext = np.concatenate([big_r, np.ones((len(big_r), 1))], axis=1)
-        loo = _leave_one_out(ext[:, self._bs_idx])[:, self._bs_real]
+        loo = _leave_one_out(_with_ones(big_r)[:, self._bs_idx])[:, self._bs_real]
         wa = np.empty_like(xa)
         wa[:, self._pair_at] = 1.0 - rho[:, self._pair_at] * loo
         return wa

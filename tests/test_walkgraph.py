@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameless.topology import GroupSpec, NetworkTopology, full_topology, structure_fingerprint
+from frameless.topology import (
+    GroupSpec,
+    NetworkTopology,
+    full_topology,
+    structure_fingerprint,
+)
 from frameless.walkgraph import (
     GuardError,
     PatternDag,
@@ -277,7 +282,8 @@ def test_fused_dag_matches_per_root_direct_sums():
             assert fused.shape == (n, 4)
             for i in range(n):
                 # a single root runs the same node arithmetic
-                assert np.array_equal(fused[i], PatternDag(masks[i], comps[i]).evaluate(v))
+                single = PatternDag(masks[i], comps[i]).evaluate(v)
+                assert np.array_equal(fused[i], single)
                 for b in range(4):
                     direct = pattern_mass(topo, i, r[:, b], c[:, b], mask=masks[i])
                     assert fused[i, b] == pytest.approx(direct, abs=1e-12)
