@@ -277,8 +277,8 @@ class PatternDag:
 
     def __init__(self, masks: np.ndarray, companions):
         masks = np.asarray(masks)
-        self.single = masks.ndim == 1
-        if self.single:
+        self._single = masks.ndim == 1
+        if self._single:
             masks, companions = masks[None], [tuple(companions)]
         comps = np.array(companions, dtype=np.intp).reshape(len(masks), -1)
         k = comps.shape[1]
@@ -311,6 +311,6 @@ class PatternDag:
                 + vals[children[:, 2]] * v[2, grp]
             )
         out = vals[self.roots]
-        if self.single:
+        if self._single:
             return out[0] if out.ndim > 1 else float(out[0])
         return out
