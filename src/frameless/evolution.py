@@ -154,8 +154,10 @@ class _EngineBase:
 
     def _finish(self, p, t, w, x, iters, conv, trace=None):
         pe = (1.0 - p + p * w) ** t[:, None]
-        plr_avg = pe @ (self.counts / self.total_users)
-        throughput = ((1.0 - pe) @ self.counts) / t
+        # Elementwise sums, not BLAS products, so that a row's rounding does
+        # not depend on its place in the batch.
+        plr_avg = (pe * (self.counts / self.total_users)).sum(axis=1)
+        throughput = ((1.0 - pe) * self.counts).sum(axis=1) / t
         trace_r0 = trace_r1 = None
         if trace is not None and trace:
             trace_r0 = np.array([a for a, _ in trace])

@@ -21,7 +21,7 @@ from conftest import edge_topologies, random_topology
 from oracles import pattern_mass
 
 MODES = ("coop", "noncoop", "bound")
-LOOP_FIELDS = ("w", "x", "plr_groups", "iterations", "converged")
+ROW_FIELDS = ("w", "x", "plr_groups", "plr_avg", "throughput", "iterations", "converged")
 
 
 def exhaustive_tiny_plr(topo, g, t_slots, share):
@@ -330,12 +330,8 @@ def test_batch_rows_match_rows_alone(topo_m2, mode):
             assert 0 < batch.converged.sum() < len(t)
         for k in range(len(t)):
             alone = engine.evaluate(p[k : k + 1], t[k : k + 1], max_iter=max_iter)
-            for name in LOOP_FIELDS:
+            for name in ROW_FIELDS:
                 assert np.array_equal(getattr(batch, name)[k], getattr(alone, name)[0])
-            # plr_avg and throughput are BLAS matrix-vector products, whose
-            # rounding depends on the row's place in the batch.
-            assert batch.throughput[k] == pytest.approx(alone.throughput[0], rel=1e-15)
-            assert batch.plr_avg[k] == pytest.approx(alone.plr_avg[0], rel=1e-15)
 
 
 def test_simultaneous_transmission_degrees(topo_m2):
