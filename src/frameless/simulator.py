@@ -1,16 +1,18 @@
 """Monte Carlo protocol engine.
 
-Simulates frameless ALOHA frames slot by slot: every un-retrieved user
-transmits per slot with its group probability, a transmission lands in
-the bucket of every BS the group reaches (atomically), and joint SIC runs
-to fixpoint after each slot. Retrieval removes a user's replicas from all
-buckets at all BSs, past and future, which is realized by never adding
-future replicas of retrieved users. A framed baseline where users draw a
-replica count from a degree distribution is included for comparisons.
-
-Buckets keep only a member count and the sum of member ids, so a
-singleton's occupant is read off directly and removal is O(1) (the usual
-peeling-decoder trick).
+Frames run on the graph of users and buckets, one bucket per (slot, BS).
+Each user sends in each slot with its group probability, its slots drawn
+from geometric gaps (an exact Bernoulli process, whatever the grouping of
+slots); a transmission lands in the bucket of every BS the group reaches.
+Buckets keep a member count and id sum, so a singleton's occupant is read
+off directly. One vectorized peeler serves every mode: each round takes
+every bucket holding one user and subtracts all edges of those users. SIC
+ends in the same retrieved set in any order, so never adding future
+replicas of retrieved users (the frameless rule) retrieves what peeling
+slots 1..t does. A fixed frame is one peel of slots [0, T); a frameless
+frame peels by blocks and replays the block reaching floor(alpha*N) slot
+by slot (n_ret(t) is monotone); the framed baseline places every replica,
+then peels once.
 
 RNG: numpy Philox (counter-based, philox4x64-10). Trial seeds derive from
 the master seed via SeedSequence(entropy=seed, spawn_key=(trial,)), so
@@ -19,8 +21,8 @@ results do not depend on worker count.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,13 +30,24 @@ import numpy as np
 
 from .topology import NetworkTopology, TargetDegreeVector
 
-RNG_ID = "numpy-philox4x64-10"
+RNG_ID = "numpy-philox4x64-10-gaps"
+
+# Slots a frameless frame peels between threshold tests.
+_BLOCK = 512
 
 
 def _make_rng(seed) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _plr_groups(retrieved: np.ndarray, topology: NetworkTopology) -> np.ndarray:
+    """Per-group loss rate (groups on the last axis); 1 for an empty group."""
+    counts = np.array([g.num_users for g in topology.groups], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plr = 1.0 - retrieved / counts
+    return np.where(counts > 0, plr, 1.0)
 
 
 @dataclass(frozen=True)
@@ -52,162 +65,135 @@ class FrameResult:
         return int(self.retrieved_per_group.sum())
 
     def plr_groups(self, topology: NetworkTopology) -> np.ndarray:
-        counts = np.array([g.num_users for g in topology.groups], dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plr = 1.0 - self.retrieved_per_group / counts
-        return np.where(counts > 0, plr, 1.0)
+        return _plr_groups(self.retrieved_per_group, topology)
 
     @property
     def plr(self) -> float:
         return 1.0 - self.n_ret / self.n_users
 
 
-class _Peeler:
-    """Bucket state shared by all simulation modes."""
+@functools.lru_cache(maxsize=16)
+def _user_layout(topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's group and (M,) 0-based BS columns, -1 where the group is
+    not heard; users numbered group by group. Read-only, built once."""
+    sizes = [g.num_users for g in topology.groups]
+    group_of = np.repeat(np.arange(topology.num_groups), sizes)
+    bs = [[j if g.bs_mask >> j & 1 else -1 for j in range(topology.num_bs)]
+          for g in topology.groups]
+    user_bs = np.array(bs, dtype=np.int8)[group_of]
+    for a in (group_of, user_bs):
+        a.setflags(write=False)
+    return group_of, user_bs
+
+
+class _EdgePeeler:
+    """Buckets b = slot*M + bs up to the drawn horizon: count (int32) and id
+    sum (int64) of alive members. User u owns edges[start[u]:][:deg[u]];
+    a retrieved user's edges are all subtracted and its later ones never
+    added, so no bucket holds a retrieved user."""
 
     def __init__(self, topology: NetworkTopology):
-        self.m = topology.num_bs
-        self.group_of = np.repeat(
-            np.arange(topology.num_groups),
-            [g.num_users for g in topology.groups],
-        )
-        self.bs0 = [tuple(j - 1 for j in g.bs_set) for g in topology.groups]
+        self.group_of, self.user_bs = _user_layout(topology)
+        self.num_groups = topology.num_groups
+        self.m = np.int64(topology.num_bs)
         n = len(self.group_of)
+        self.edges = np.zeros(0, dtype=np.int64)
+        self.start = self.deg = np.zeros(n, dtype=np.int64)
+        self.count, self.idsum = np.zeros(0, np.int32), np.zeros(0, np.int64)
         self.alive = np.ones(n, dtype=bool)
-        self.user_buckets: list[list[int]] = [[] for _ in range(n)]
-        self.count: list[int] = []
-        self.idsum: list[int] = []
-        self.retrieved_per_group = np.zeros(topology.num_groups, dtype=np.int64)
-        self.n_ret = 0
-        self.retrieved_log: list[int] = []
-        self.queue: deque[int] = deque()
+        self.mark = np.empty(n, dtype=np.int64)
+        self.n_ret = self.horizon = 0
 
-    def open_slot(self) -> int:
-        base = len(self.count)
-        self.count.extend([0] * self.m)
-        self.idsum.extend([0] * self.m)
-        return base
+    def extend(self, users: np.ndarray, slots: np.ndarray, horizon: int):
+        """Add the transmission of users[i] in slots[i] for every i (slots
+        below `horizon`), leaving out retrieved users."""
+        if self.n_ret:
+            users, slots = users[self.alive[users]], slots[self.alive[users]]
+        bs = self.user_bs[users]
+        real = bs >= 0
+        n_bs = np.add.reduce(real, axis=1, dtype=np.int8)
+        new, owner = slots.repeat(n_bs) * self.m, users.repeat(n_bs)
+        new += bs[real]
+        del bs, real, users, slots
+        grow = horizon * self.m - len(self.count)
+        self.count = np.concatenate([self.count, np.zeros(grow, np.int32)])
+        self.idsum = np.concatenate([self.idsum, np.zeros(grow, np.int64)])
+        np.add.at(self.count, new, np.int32(1))
+        np.add.at(self.idsum, new, owner)
+        if len(self.edges):
+            old = np.arange(len(self.deg), dtype=np.int32).repeat(self.deg)
+            kept = self.alive[old]
+            owner = np.concatenate([old[kept], owner])
+            new = np.concatenate([self.edges[kept], new])
+            del old, kept, self.edges  # free them before the sort
+        self.edges = new[owner.argsort(kind="stable")]
+        self.deg = np.bincount(owner, minlength=len(self.deg))
+        self.start = np.add.accumulate(self.deg) - self.deg
+        self.horizon = horizon
 
-    def add(self, uid: int, base: int):
-        for b0 in self.bs0[self.group_of[uid]]:
-            b = base + b0
-            self.count[b] += 1
-            self.idsum[b] += uid
-            self.user_buckets[uid].append(b)
+    def peel(self, lo: int, hi: int):
+        """Peel slots [0, hi) to fixpoint, given the fixpoint of [0, lo)."""
+        lim = hi * self.m
+        cand = (self.count[lo * self.m : lim] == 1).nonzero()[0] + lo * self.m
+        while cand.size:
+            users = self.idsum[cand]
+            if len(users) > 1:  # one copy of a user found in several buckets
+                first = np.arange(len(users))
+                self.mark[users] = first
+                users = users[self.mark[users] == first]
+            self.alive[users] = False
+            self.n_ret += len(users)
+            deg = self.deg[users]
+            ends = np.add.accumulate(deg)
+            at = (self.start[users] - ends + deg).repeat(deg)
+            at += np.arange(len(at))
+            b = self.edges[at]
+            np.subtract.at(self.count, b, np.int32(1))
+            np.subtract.at(self.idsum, b, users.repeat(deg))
+            cand = b[(self.count[b] == 1) & (b < lim)]
 
-    def seal_slot(self, base: int):
-        for b in range(base, base + self.m):
-            if self.count[b] == 1:
-                self.queue.append(b)
-        self._drain()
+    def snapshot(self):
+        return self.count.copy(), self.idsum.copy(), self.alive.copy(), self.n_ret
 
-    def _drain(self):
-        count, idsum, queue = self.count, self.idsum, self.queue
-        while queue:
-            b = queue.popleft()
-            if count[b] != 1:
-                continue
-            uid = idsum[b]
-            if not self.alive[uid]:
-                continue
-            self.alive[uid] = False
-            self.retrieved_per_group[self.group_of[uid]] += 1
-            self.n_ret += 1
-            self.retrieved_log.append(uid)
-            for ob in self.user_buckets[uid]:
-                count[ob] -= 1
-                idsum[ob] -= uid
-                if count[ob] == 1:
-                    queue.append(ob)
-            self.user_buckets[uid].clear()
+    def restore(self, snap):
+        self.count, self.idsum, self.alive, self.n_ret = snap
 
-
-class _AliveSet:
-    """Per-group alive-user pools supporting O(1) removal and k-sampling."""
-
-    def __init__(self, topology: NetworkTopology):
-        self.members = []
-        self.pos = {}
-        start = 0
-        for g in topology.groups:
-            ids = list(range(start, start + g.num_users))
-            self.members.append(ids)
-            for k, uid in enumerate(ids):
-                self.pos[uid] = k
-            start += g.num_users
-        self.sizes = np.array([g.num_users for g in topology.groups], dtype=np.int64)
-
-    def sample(self, group: int, k: int, rng: np.random.Generator) -> list[int]:
-        pool = self.members[group]
-        n = len(pool)
-        if k >= n:
-            return list(pool)
-        picked = []
-        taken = set()
-        while len(picked) < k:
-            j = int(rng.integers(n))
-            if j not in taken:
-                taken.add(j)
-                picked.append(pool[j])
-        return picked
-
-    def remove(self, uid: int, group: int):
-        pool = self.members[group]
-        j = self.pos.pop(uid)
-        last = pool.pop()
-        if last != uid:
-            pool[j] = last
-            self.pos[last] = j
-        self.sizes[group] -= 1
+    def result(self, t: int, terminated_by: str) -> FrameResult:
+        got = np.bincount(self.group_of[~self.alive], minlength=self.num_groups)
+        return FrameResult(t, got, len(self.alive), self.n_ret / t, terminated_by)
 
 
-def _frameless_run(
-    topology: NetworkTopology,
-    degrees,
-    seed,
-    *,
-    threshold: int | None,
-    slot_cap: int,
-) -> FrameResult:
+def _bernoulli_slots(rng, topology: NetworkTopology, degrees, lo: int, hi: int):
+    """Users and slots (int32) of all transmissions in slots [lo, hi), each
+    user sending in every slot with its group's p = G/N. Gaps are geometric,
+    1 + floor(E / -ln(1 - p)) with E standard exponential, drawn k per user
+    at a time (user-major); the process is memoryless, so a range starts
+    afresh at lo."""
     if not isinstance(degrees, TargetDegreeVector):
         degrees = TargetDegreeVector(tuple(degrees))
-    p = np.array(degrees.probabilities(topology))
-    rng = _make_rng(seed)
-    peel = _Peeler(topology)
-    alive = _AliveSet(topology)
-    n_users = topology.num_users
-    t = 0
-    consumed = 0
-    while t < slot_cap:
-        base = peel.open_slot()
-        arrivals = rng.binomial(alive.sizes, p)
-        for g in np.flatnonzero(arrivals):
-            for uid in alive.sample(int(g), int(arrivals[g]), rng):
-                peel.add(uid, base)
-        peel.seal_slot(base)
-        t += 1
-        # Retrieved users stop being sampled: their remaining replicas are
-        # known to the BSs and pre-subtracted.
-        log = peel.retrieved_log
-        while consumed < len(log):
-            uid = log[consumed]
-            alive.remove(uid, int(peel.group_of[uid]))
-            consumed += 1
-        if threshold is not None and peel.n_ret >= threshold:
-            return FrameResult(
-                t=t,
-                retrieved_per_group=peel.retrieved_per_group,
-                n_users=n_users,
-                throughput=peel.n_ret / t,
-                terminated_by="threshold",
-            )
-    return FrameResult(
-        t=t,
-        retrieved_per_group=peel.retrieved_per_group,
-        n_users=n_users,
-        throughput=peel.n_ret / t,
-        terminated_by="slot_cap" if threshold is not None else "fixed",
-    )
+    p = degrees.probabilities(topology)
+    group_of = _user_layout(topology)[0]
+    scale = [math.inf if q == 0 else -1 / math.log1p(-q) if q < 1 else 0.0 for q in p]
+    scale = np.array(scale)[group_of]
+    mean = max(p) * (hi - lo)  # the busiest user's mean count in the range
+    k = 1 + math.ceil(mean + math.sqrt(mean))  # most users finish in one round
+    users, slots = [], []
+    active, last = np.arange(len(group_of), dtype=np.int32), lo - 1
+    while True:
+        at = rng.standard_exponential((len(active), k))
+        at *= scale[active][:, None]
+        np.floor(at, out=at)
+        at += 1
+        np.add.accumulate(at, axis=1, out=at)
+        at += last
+        sent = at < hi
+        n_sent = np.add.reduce(sent, axis=1)
+        users.append(active.repeat(n_sent))
+        slots.append(at[sent].astype(np.int32))
+        more = n_sent == k
+        if not more.any():
+            return np.concatenate(users), np.concatenate(slots)
+        active, last = active[more], at[more, -1:]
 
 
 def run_frame(
@@ -229,18 +215,36 @@ def run_frame(
         slot_cap = math.ceil(10 * n / topology.num_bs)
     if slot_cap < 1:
         raise ValueError("slot_cap must be >= 1")
-    return _frameless_run(
-        topology, degrees, seed, threshold=threshold, slot_cap=slot_cap
-    )
+    rng, peel = _make_rng(seed), _EdgePeeler(topology)
+    # T >= threshold/M (a retrieval empties one of M buckets); then grow by 1/4.
+    horizon = min(slot_cap, -(-threshold // topology.num_bs))
+    t, step = 0, _BLOCK
+    while True:
+        if t == peel.horizon:
+            peel.extend(*_bernoulli_slots(rng, topology, degrees, t, horizon), horizon)
+            horizon = min(slot_cap, horizon + -(-horizon // 4))
+        t_next = min(t + step, peel.horizon)
+        snap = peel.snapshot() if t_next - t > 1 else None
+        peel.peel(t, t_next)
+        if peel.n_ret >= threshold:
+            if snap is None:
+                return peel.result(t_next, "threshold")
+            peel.restore(snap)
+            step = 1
+        elif t_next == slot_cap:
+            return peel.result(t_next, "slot_cap")
+        else:
+            t = t_next
 
 
 def run_fixed_frame(topology: NetworkTopology, degrees, t_slots: int, seed) -> FrameResult:
     """Frameless transmission over exactly t_slots, no threshold stop."""
     if t_slots < 1:
         raise ValueError(f"frame length must be >= 1, got {t_slots}")
-    return _frameless_run(
-        topology, degrees, seed, threshold=None, slot_cap=t_slots
-    )
+    rng, peel = _make_rng(seed), _EdgePeeler(topology)
+    peel.extend(*_bernoulli_slots(rng, topology, degrees, 0, t_slots), t_slots)
+    peel.peel(0, t_slots)
+    return peel.result(t_slots, "fixed")
 
 
 def run_spatio_temporal(
@@ -256,29 +260,21 @@ def run_spatio_temporal(
         raise ValueError("replica distribution must be a probability mass")
     if degs and (degs[0] < 1 or degs[-1] > t_slots):
         raise ValueError(f"replica degrees must lie in 1..T={t_slots}")
-    rng = _make_rng(seed)
-    peel = _Peeler(topology)
-    n_users = topology.num_users
-    bases = [peel.open_slot() for _ in range(t_slots)]
-    draws = rng.choice(len(degs), size=n_users, p=probs)
-    for uid in range(n_users):
-        s = degs[int(draws[uid])]
-        slots = set()
-        while len(slots) < s:
-            slots.add(int(rng.integers(t_slots)))
-        for slot in sorted(slots):
-            peel.add(uid, bases[slot])
-    for b in range(len(peel.count)):
-        if peel.count[b] == 1:
-            peel.queue.append(b)
-    peel._drain()
-    return FrameResult(
-        t=t_slots,
-        retrieved_per_group=peel.retrieved_per_group,
-        n_users=n_users,
-        throughput=peel.n_ret / t_slots,
-        terminated_by="fixed",
-    )
+    rng, peel = _make_rng(seed), _EdgePeeler(topology)
+    draws = rng.choice(len(degs), size=len(peel.alive), p=probs)
+    users, slots = [], []
+    for k, s in enumerate(degs):
+        owners = np.flatnonzero(draws == k)
+        # Floyd's algorithm, one row per user: a uniform s-subset of slots.
+        picks = np.empty((len(owners), s), dtype=np.int32)
+        for i, j in enumerate(range(t_slots - s, t_slots)):
+            r = rng.integers(0, j + 1, size=len(owners), dtype=np.int32)
+            picks[:, i] = np.where((picks[:, :i] == r[:, None]).any(axis=1), j, r)
+        users.append(owners.repeat(s))
+        slots.append(picks.ravel())
+    peel.extend(np.concatenate(users), np.concatenate(slots), t_slots)
+    peel.peel(0, t_slots)
+    return peel.result(t_slots, "fixed")
 
 
 @dataclass(frozen=True)
@@ -407,6 +403,8 @@ def monte_carlo(
         t=np.array([r.t for r in results], dtype=np.int64),
         n_ret=np.array([r.n_ret for r in results], dtype=np.int64),
         throughput=np.array([r.throughput for r in results]),
-        plr_groups=np.array([r.plr_groups(spec.topology) for r in results]),
+        plr_groups=_plr_groups(
+            np.array([r.retrieved_per_group for r in results]), spec.topology
+        ),
         terminated_by=[r.terminated_by for r in results],
     )

@@ -12,16 +12,24 @@ closed form (1-p+p*x)^n, which is what the engines use directly.
 Walk-graph pattern sums: the direct 3^(I-1) enumeration of the pattern
 probabilities that the engines evaluate through the compressed DAG and the
 inclusion-exclusion closed form.
+
+Slot-by-slot simulator, the reference for the vectorized peeler of
+`frameless.simulator`: every un-retrieved user transmits per slot with its
+group probability, a transmission lands in the bucket of every BS the
+group reaches, and joint SIC runs to fixpoint after each slot in per-user
+Python; retrieved users are never sampled again.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from frameless.topology import NetworkTopology
+from frameless.simulator import FrameResult, _make_rng
+from frameless.topology import NetworkTopology, TargetDegreeVector
 from frameless.walkgraph import (
     _CHUNK,
     RetrievabilityTable,
@@ -197,3 +205,151 @@ def compute_w_coop(
     if w < -1e-6 or w > 1.0 + 1e-6:
         raise ValueError(f"w={w} outside [0,1] beyond float tolerance")
     return min(max(w, 0.0), 1.0)
+
+
+class _Peeler:
+    """Bucket state shared by all simulation modes."""
+
+    def __init__(self, topology: NetworkTopology):
+        self.m = topology.num_bs
+        self.group_of = np.repeat(
+            np.arange(topology.num_groups),
+            [g.num_users for g in topology.groups],
+        )
+        self.bs0 = [tuple(j - 1 for j in g.bs_set) for g in topology.groups]
+        n = len(self.group_of)
+        self.alive = np.ones(n, dtype=bool)
+        self.user_buckets: list[list[int]] = [[] for _ in range(n)]
+        self.count: list[int] = []
+        self.idsum: list[int] = []
+        self.retrieved_per_group = np.zeros(topology.num_groups, dtype=np.int64)
+        self.n_ret = 0
+        self.retrieved_log: list[int] = []
+        self.queue: deque[int] = deque()
+
+    def open_slot(self) -> int:
+        base = len(self.count)
+        self.count.extend([0] * self.m)
+        self.idsum.extend([0] * self.m)
+        return base
+
+    def add(self, uid: int, base: int):
+        for b0 in self.bs0[self.group_of[uid]]:
+            b = base + b0
+            self.count[b] += 1
+            self.idsum[b] += uid
+            self.user_buckets[uid].append(b)
+
+    def seal_slot(self, base: int):
+        for b in range(base, base + self.m):
+            if self.count[b] == 1:
+                self.queue.append(b)
+        self._drain()
+
+    def _drain(self):
+        count, idsum, queue = self.count, self.idsum, self.queue
+        while queue:
+            b = queue.popleft()
+            if count[b] != 1:
+                continue
+            uid = idsum[b]
+            if not self.alive[uid]:
+                continue
+            self.alive[uid] = False
+            self.retrieved_per_group[self.group_of[uid]] += 1
+            self.n_ret += 1
+            self.retrieved_log.append(uid)
+            for ob in self.user_buckets[uid]:
+                count[ob] -= 1
+                idsum[ob] -= uid
+                if count[ob] == 1:
+                    queue.append(ob)
+            self.user_buckets[uid].clear()
+
+
+class _AliveSet:
+    """Per-group alive-user pools supporting O(1) removal and k-sampling."""
+
+    def __init__(self, topology: NetworkTopology):
+        self.members = []
+        self.pos = {}
+        start = 0
+        for g in topology.groups:
+            ids = list(range(start, start + g.num_users))
+            self.members.append(ids)
+            for k, uid in enumerate(ids):
+                self.pos[uid] = k
+            start += g.num_users
+        self.sizes = np.array([g.num_users for g in topology.groups], dtype=np.int64)
+
+    def sample(self, group: int, k: int, rng: np.random.Generator) -> list[int]:
+        pool = self.members[group]
+        n = len(pool)
+        if k >= n:
+            return list(pool)
+        picked = []
+        taken = set()
+        while len(picked) < k:
+            j = int(rng.integers(n))
+            if j not in taken:
+                taken.add(j)
+                picked.append(pool[j])
+        return picked
+
+    def remove(self, uid: int, group: int):
+        pool = self.members[group]
+        j = self.pos.pop(uid)
+        last = pool.pop()
+        if last != uid:
+            pool[j] = last
+            self.pos[last] = j
+        self.sizes[group] -= 1
+
+
+def _frameless_run(
+    topology: NetworkTopology,
+    degrees,
+    seed,
+    *,
+    threshold: int | None,
+    slot_cap: int,
+) -> FrameResult:
+    if not isinstance(degrees, TargetDegreeVector):
+        degrees = TargetDegreeVector(tuple(degrees))
+    p = np.array(degrees.probabilities(topology))
+    rng = _make_rng(seed)
+    peel = _Peeler(topology)
+    alive = _AliveSet(topology)
+    n_users = topology.num_users
+    t = 0
+    consumed = 0
+    while t < slot_cap:
+        base = peel.open_slot()
+        arrivals = rng.binomial(alive.sizes, p)
+        for g in np.flatnonzero(arrivals):
+            for uid in alive.sample(int(g), int(arrivals[g]), rng):
+                peel.add(uid, base)
+        peel.seal_slot(base)
+        t += 1
+        # Retrieved users stop being sampled: their remaining replicas are
+        # known to the BSs and pre-subtracted.
+        log = peel.retrieved_log
+        while consumed < len(log):
+            uid = log[consumed]
+            alive.remove(uid, int(peel.group_of[uid]))
+            consumed += 1
+        if threshold is not None and peel.n_ret >= threshold:
+            return FrameResult(
+                t=t,
+                retrieved_per_group=peel.retrieved_per_group,
+                n_users=n_users,
+                throughput=peel.n_ret / t,
+                terminated_by="threshold",
+            )
+    return FrameResult(
+        t=t,
+        retrieved_per_group=peel.retrieved_per_group,
+        n_users=n_users,
+        throughput=peel.n_ret / t,
+        terminated_by="slot_cap" if threshold is not None else "fixed",
+    )

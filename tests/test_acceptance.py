@@ -432,6 +432,34 @@ def test_c8_small_instance_oracle(topo_tiny):
     )
 
 
+def test_c8_stop_time_oracle(topo_tiny):
+    # frameless stop at threshold 4 with slot_cap 2: n_ret(t) is that of a
+    # fixed frame of t slots, so the exhaustive distributions at T = 1 and 2
+    # give P(T <= 1), P(T <= 2) and the slot_cap share exactly (P(T <= 1)
+    # is 0: one slot has only M = 2 buckets)
+    reach = [float(_enumerate_tiny_distribution(t)[4:].sum()) for t in (1, 2)]
+    ends = {
+        (1, "threshold"): reach[0],
+        (2, "threshold"): reach[1] - reach[0],
+        (2, "slot_cap"): 1 - reach[1],
+    }
+    trials = 2 * 10**4
+    spec = SimulationSpec(topology=topo_tiny, mode="frameless", degrees=(1.0, 1.0, 1.0),
+                          alpha=0.7, slot_cap=2, master_seed=89)
+    assert math.floor(spec.alpha * topo_tiny.num_users) == 4
+    mc = monte_carlo(spec, trials=trials, workers=WORKERS)
+    seen = list(zip(mc.t.tolist(), mc.terminated_by))
+    ok = all(end in ends for end in seen)
+    details = []
+    for end, p in ends.items():
+        emp = seen.count(end) / trials
+        sigma = math.sqrt(p * (1 - p) / trials)
+        ok &= abs(emp - p) <= 3 * sigma
+        details.append(f"T={end[0]} {end[1]}: {emp:.4f} vs {p:.4f} (3 sigma = {3 * sigma:.4f})")
+    assert report("criterion-8 (frameless stop time vs enumeration)", ok,
+                  "; ".join(details))
+
+
 # --- criterion 9: invariant property suite ---
 
 def test_c9_monotone_closure_and_pattern_mass():

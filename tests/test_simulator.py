@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import frameless.simulator as simulator
 from frameless.simulator import (
     RNG_ID,
     SimulationSpec,
-    _Peeler,
+    _bernoulli_slots,
+    _EdgePeeler,
     monte_carlo,
     run_fixed_frame,
     run_frame,
     run_spatio_temporal,
 )
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
+from oracles import _frameless_run
 
 
 def test_lone_user_always_singleton():
@@ -92,31 +95,139 @@ def test_single_trial_reduces_to_run_frame():
     assert mc.stderr_throughput == 0.0
 
 
+def _bucket_tables(peel):
+    """Count and id sum of every bucket, rebuilt from the alive users' edges."""
+    alive = np.flatnonzero(peel.alive)
+    users = alive.repeat(peel.deg[alive])
+    edges = np.concatenate([peel.edges[peel.start[u] : peel.start[u] + peel.deg[u]] for u in alive])
+    count = np.bincount(edges, minlength=len(peel.count))
+    idsum = np.zeros(len(peel.count), np.int64)
+    np.add.at(idsum, edges, users)
+    return count, idsum
+
+
 def test_atomic_multi_bs_reception():
     # single group heard by both BSs: bucket contents must mirror exactly
     topo = NetworkTopology(2, (GroupSpec(0b11, 30),))
-    peel = _Peeler(topo)
-    base = peel.open_slot()
-    peel.add(7, base)
-    peel.add(9, base)
-    assert peel.count[base] == peel.count[base + 1] == 2
-    assert peel.idsum[base] == peel.idsum[base + 1] == 16
+    peel = _EdgePeeler(topo)
+    peel.extend(np.array([7, 9]), np.array([0, 0], np.int32), 1)
+    assert peel.count[0] == peel.count[1] == 2
+    assert peel.idsum[0] == peel.idsum[1] == 16
+    # and stay mirrored through random slots and peeling
+    slots = _bernoulli_slots(np.random.default_rng(4), topo, (1.5,), 1, 20)
+    peel.extend(*slots, 20)
+    peel.peel(0, 20)
+    assert 0 < peel.n_ret < 30
+    assert np.array_equal(peel.count[0::2], peel.count[1::2])
+    assert np.array_equal(peel.idsum[0::2], peel.idsum[1::2])
 
 
 def test_sic_fixpoint_no_singletons_left():
-    # drive a peeler by hand and verify that once the queue drains, no
-    # bucket anywhere holds exactly one un-retrieved user
+    # drive a peeler by hand, adding slots in ranges and peeling in blocks,
+    # and verify that once it settles no bucket holds exactly one
+    # un-retrieved user and the buckets hold exactly the alive users' edges
     topo = full_topology(2, [40, 40, 40])
-    peel = _Peeler(topo)
+    peel = _EdgePeeler(topo)
     rng = np.random.default_rng(21)
-    for _ in range(60):
-        base = peel.open_slot()
-        for uid in rng.choice(120, size=rng.integers(0, 5), replace=False):
-            if peel.alive[uid]:
-                peel.add(int(uid), base)
-        peel.seal_slot(base)
-    assert peel.n_ret < topo.num_users  # losses exist at this load
-    assert all(c != 1 for c in peel.count)
+    t = 0
+    for horizon in (20, 45, 60):
+        slots = _bernoulli_slots(rng, topo, (1.2, 1.2, 0.8), peel.horizon, horizon)
+        peel.extend(*slots, horizon)
+        for t_next in range(t + 7, horizon + 7, 7):
+            peel.peel(t, min(t_next, horizon))
+            t = min(t_next, horizon)
+            assert not (peel.count[: t * 2] == 1).any()
+    assert 0 < peel.n_ret < topo.num_users  # losses exist at this load
+    assert peel.n_ret == (~peel.alive).sum()
+    assert not (peel.count == 1).any()
+    count, idsum = _bucket_tables(peel)
+    assert np.array_equal(peel.count, count)
+    assert np.array_equal(peel.idsum, idsum)
+
+
+def test_zero_degree_group_never_retrieved():
+    # p = 0 in a non-empty group: geometric(0) is undefined, the group just
+    # never transmits
+    topo = full_topology(2, [20, 20, 20])
+    degrees = (1.0, 1.0, 0.0)
+    fixed = run_fixed_frame(topo, degrees, 60, seed=3)
+    framed = run_frame(topo, degrees, alpha=0.5, seed=3)
+    for res in (fixed, framed):
+        assert res.retrieved_per_group[2] == 0
+        assert res.retrieved_per_group[:2].sum() > 0
+    assert framed.terminated_by == "threshold"
+    capped = run_frame(topo, degrees, alpha=0.9, seed=3, slot_cap=300)
+    assert capped.terminated_by == "slot_cap" and capped.t == 300
+    assert capped.retrieved_per_group[2] == 0
+
+
+def test_full_load_group():
+    # G = N_g (p = 1): the group sends in every slot
+    lone = NetworkTopology(2, (GroupSpec(0b01, 1), GroupSpec(0b10, 5)))
+    res = run_fixed_frame(lone, (1.0, 1.0), 40, seed=5)
+    assert res.retrieved_per_group[0] == 1  # alone at BS 1 in slot 0
+    crowd = full_topology(1, [3])
+    res = run_fixed_frame(crowd, (3.0,), 25, seed=5)
+    assert res.n_ret == 0  # three users collide in every slot
+    res = run_frame(crowd, (3.0,), alpha=1.0, seed=5, slot_cap=9)
+    assert (res.t, res.n_ret, res.terminated_by) == (9, 0, "slot_cap")
+
+
+@pytest.mark.parametrize("block", [1, 3, simulator._BLOCK])
+def test_block_size_does_not_change_frames(monkeypatch, block):
+    # slots are drawn per slot range, never per block, and the block that
+    # crosses the threshold is replayed slot by slot: the first slot that
+    # reaches floor(alpha*N) is the same for every block size
+    cases = [
+        (full_topology(1, [300]), (3.1,), None),
+        (full_topology(2, [200, 200, 200]), (1.81, 1.81, 1.68), None),
+        (full_topology(3, [60] * 7), (1.11, 1.11, 0.94, 1.11, 0.94, 0.94, 0.78), None),
+        (full_topology(2, [200, 200, 200]), (1.81, 1.81, 1.68), 130),
+    ]
+    expected = []
+    for topo, g, cap in cases:
+        for seed in range(3):
+            res = run_frame(topo, g, alpha=0.8, seed=seed, slot_cap=cap)
+            expected.append((res.t, tuple(res.retrieved_per_group), res.terminated_by))
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    got = []
+    for topo, g, cap in cases:
+        for seed in range(3):
+            res = run_frame(topo, g, alpha=0.8, seed=seed, slot_cap=cap)
+            got.append((res.t, tuple(res.retrieved_per_group), res.terminated_by))
+    assert got == expected
+    assert {e[2] for e in expected} == {"threshold", "slot_cap"}
+
+
+@pytest.mark.parametrize("mode", ["frameless", "fixed"])
+def test_matches_slot_by_slot_oracle(mode):
+    # two-sample check against the slot-by-slot simulator: mean T, n_ret
+    # and per-group PLR agree within 4 standard errors
+    topo = full_topology(2, [200, 200, 200])
+    g = (1.81, 1.81, 1.68)
+    trials = 150
+    kw = dict(threshold=480, slot_cap=1000) if mode == "frameless" else dict(
+        threshold=None, slot_cap=300
+    )
+    new, old = [], []
+    for k in range(trials):
+        seed = np.random.SeedSequence(entropy=31, spawn_key=(k,))
+        if mode == "frameless":
+            new.append(run_frame(topo, g, 0.8, seed, slot_cap=1000))
+        else:
+            new.append(run_fixed_frame(topo, g, 300, seed))
+        old.append(_frameless_run(topo, g, np.random.SeedSequence(entropy=32, spawn_key=(k,)), **kw))
+    for name, f in (
+        ("T", lambda r: [r.t]),
+        ("n_ret", lambda r: [r.n_ret]),
+        ("plr", lambda r: r.plr_groups(topo)),
+    ):
+        a = np.array([f(r) for r in new], dtype=float)
+        b = np.array([f(r) for r in old], dtype=float)
+        se = np.sqrt(a.var(axis=0, ddof=1) / trials + b.var(axis=0, ddof=1) / trials)
+        diff = np.abs(a.mean(axis=0) - b.mean(axis=0))
+        assert (diff <= 4 * se + 1e-12).all(), (mode, name, diff, se)
+    assert {r.terminated_by for r in new} == {r.terminated_by for r in old}
 
 
 def test_spatio_temporal_single_user():
