@@ -17,16 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .evolution import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    SINGLE_BS_PEAK,
-    BatchEvolution,
-    _EngineBase,
-    _fixed_point,
-    _padded,
-    _with_ones,
-)
+from .evolution import SINGLE_BS_PEAK, _EngineBase, _padded, _with_ones
 from .topology import NetworkTopology
 
 PIVOT_TOL = 1e-14
@@ -130,15 +121,3 @@ class BoundEngine(_EngineBase):
             q = terms[:, :, slot].reshape(-1, m, m)
             wa[:, targets] = 1.0 - _union_lower_bound(p, q).reshape(len(xa), -1)
         return wa
-
-    def evaluate(
-        self,
-        p_rows,
-        t_rows,
-        max_iter: int = DEFAULT_MAX_ITER,
-        tol: float = DEFAULT_TOL,
-    ) -> BatchEvolution:
-        p = np.atleast_2d(np.asarray(p_rows, dtype=float))
-        t = np.asarray(t_rows, dtype=np.int64)
-        x, w, iters, conv = _fixed_point(p, self.counts, t, self._w, max_iter, tol)
-        return self._finish(p, t, w, x, iters, conv)

@@ -2,8 +2,8 @@
 
 Every analysis iterates the same erasure fixed point from x^(0) = w^(0) = 1:
 an iteration computes the collision probability w from the previous x and
-then x = lambda(w), until no entry of a row moves by tol. One loop,
-`_fixed_point`, runs it for all engines; an engine supplies only its w
+then x = lambda(w), until no entry of a row moves by tol. One row pool,
+`_RowPool`, runs it for all engines; an engine supplies only its w
 kernel. The cooperative kernel gives each group's w by summing the
 probabilities of every walk-graph pattern from which the target packet
 peels. The non-cooperative kernel runs one chain per (group, BS) pair and
@@ -74,42 +74,65 @@ def _with_ones(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a, np.ones((len(a), 1))], axis=1)
 
 
-def _fixed_point(p, counts, t, w_of, max_iter, tol):
-    """Iterate x = (1 - p + p w)^(T-1) per row from x = w = 1.
+class _RowPool:
+    """Rows of the fixed point x = (1 - p + p w)^(T-1), iterated together.
 
-    Columns are chains with transmission probability p and population
-    counts. w_of(x, p, R, rho) returns w for the still-active rows, given
-    R = (1 - p x)^N and rho = (1 - p x)^(N-1). A row retires once no entry
-    moves by tol. Returns (x, w, iterations, converged).
+    Columns are the engine's chains, with transmission probability p and
+    population counts; w_of(x, p, R, rho) returns w for every row, given
+    R = (1 - p x)^N and rho = (1 - p x)^(N-1). Rows join with add() at
+    any iteration, start from x = w = 1 and leave once no entry moves by
+    tol or after max_iter iterations of their own. A row's bits do not
+    depend on the other rows in the pool.
     """
-    if (t < 1).any():
-        raise ValueError("slot counts must be >= 1")
-    nm1 = np.maximum(counts - 1.0, 0.0)
-    x = np.ones(p.shape)
-    w = np.ones(p.shape)
-    iters = np.zeros(p.shape[0], dtype=np.int64)
-    conv = np.zeros(p.shape[0], dtype=bool)
-    act = np.arange(p.shape[0])
-    for it in range(1, max_iter + 1):
-        xa = x[act]
-        pa = p[act]
-        base = 1.0 - pa * xa
-        big_r = base**counts
-        rho = base**nm1
-        wa = w_of(xa, pa, big_r, rho)
-        _check_unit("w", wa)
-        np.clip(wa, 0.0, 1.0, out=wa)
-        xn = (1.0 - pa + pa * wa) ** (t[act, None] - 1)
-        delta = np.abs(xn - xa).max(axis=1)
-        x[act] = xn
-        w[act] = wa
-        iters[act] = it
-        done = delta < tol
-        conv[act[done]] = True
-        act = act[~done]
-        if act.size == 0:
-            break
-    return x, w, iters, conv
+
+    def __init__(self, engine, max_iter, tol, trace=None):
+        self.columns = engine.columns
+        self.counts = engine.counts[self.columns]
+        self.nm1 = np.maximum(self.counts - 1.0, 0.0)
+        self.w_of = engine._w if trace is None else partial(engine._w, trace=trace)
+        self.max_iter, self.tol = max_iter, tol
+        n = len(self.columns)
+        self.keys = np.empty(0, dtype=np.intp)
+        self.p = self.q = self.x = np.empty((0, n))
+        self.tm1 = np.empty((0, 1), dtype=np.int64)
+        self.iters = np.empty(0, dtype=np.int64)
+
+    def __len__(self):
+        return len(self.keys)
+
+    def add(self, keys, p, t):
+        """Join rows with group probabilities p and slot counts t."""
+        t = np.asarray(t, dtype=np.int64)
+        if (t < 1).any():
+            raise ValueError("slot counts must be >= 1")
+        p = p[:, self.columns]
+        self.keys = np.concatenate([self.keys, keys])
+        self.p = np.concatenate([self.p, p])
+        self.q = np.concatenate([self.q, 1.0 - p])
+        self.x = np.concatenate([self.x, np.ones(p.shape)])
+        self.tm1 = np.concatenate([self.tm1, t[:, None] - 1])
+        self.iters = np.concatenate([self.iters, np.zeros(len(t), dtype=np.int64)])
+
+    def step(self):
+        """Run one iteration of every row. Returns (keys, x, w, iterations,
+        converged) of the rows that leave, or None."""
+        p, x = self.p, self.x
+        base = 1.0 - p * x
+        w = self.w_of(x, p, base**self.counts, base**self.nm1)
+        _check_unit("w", w)
+        np.clip(w, 0.0, 1.0, out=w)
+        self.x = (self.q + p * w) ** self.tm1
+        self.iters += 1
+        done = np.abs(self.x - x).max(axis=1) < self.tol
+        leave = done | (self.iters >= self.max_iter)
+        if not leave.any():
+            return None
+        out = (self.keys[leave], self.x[leave], w[leave], self.iters[leave], done[leave])
+        stay = ~leave
+        self.keys, self.p, self.q, self.x, self.tm1, self.iters = (
+            a[stay] for a in (self.keys, self.p, self.q, self.x, self.tm1, self.iters)
+        )
+        return out
 
 
 @dataclass
@@ -151,8 +174,42 @@ class _EngineBase:
         self.total_users = float(self.counts.sum())
         if self.total_users <= 0:
             raise ValueError("topology has no users")
+        # The fixed point runs one column per chain, listed group by group:
+        # one per group here, one per (group, BS) pair in NoncoopEngine.
+        self.columns = np.arange(topology.num_groups)
+        self.group_offsets = self.columns
+
+    def evaluate(
+        self,
+        p_rows,
+        t_rows,
+        max_iter: int = DEFAULT_MAX_ITER,
+        tol: float = DEFAULT_TOL,
+        want_trace: bool = False,
+    ) -> BatchEvolution:
+        p = np.atleast_2d(np.asarray(p_rows, dtype=float))
+        t = np.asarray(t_rows, dtype=np.int64)
+        if want_trace and p.shape[0] != 1:
+            raise ValueError("trace recording supports a single row")
+        trace = [] if want_trace else None
+        pool = _RowPool(self, max_iter, tol, trace)
+        pool.add(np.arange(len(p)), p, t)
+        x = np.ones((len(p), len(self.columns)))
+        w = np.ones_like(x)
+        iters = np.zeros(len(p), dtype=np.int64)
+        conv = np.zeros(len(p), dtype=bool)
+        while len(pool):
+            left = pool.step()
+            if left is not None:
+                keys = left[0]
+                x[keys], w[keys], iters[keys], conv[keys] = left[1:]
+        return self._finish(p, t, w, x, iters, conv, trace)
 
     def _finish(self, p, t, w, x, iters, conv, trace=None):
+        # Per group, w is the product of its chains' collision probabilities
+        # (the identity for one chain per group).
+        w = np.multiply.reduceat(w, self.group_offsets, axis=1)
+        x = np.minimum.reduceat(x, self.group_offsets, axis=1)
         pe = (1.0 - p + p * w) ** t[:, None]
         # Elementwise sums, not BLAS products, so that a row's rounding does
         # not depend on its place in the batch.
@@ -233,14 +290,14 @@ class CoopEngine(_EngineBase):
         self._r0_idx = idx.reshape(n_groups, n_terms, idx.shape[1])
 
     def _p_r0(self, big_r: np.ndarray) -> np.ndarray:
-        prods = _with_ones(big_r)[:, self._r0_idx].prod(axis=-1)
-        acc = np.zeros_like(big_r)
-        for k in range(prods.shape[2]):
-            acc = acc + self._r0_sign[:, k] * prods[:, :, k]
+        terms = _with_ones(big_r)[:, self._r0_idx].prod(axis=-1) * self._r0_sign
+        acc = terms[:, :, 0]
+        for k in range(1, terms.shape[2]):
+            acc = acc + terms[:, :, k]
         return acc
 
     def _p_r1(self, big_r: np.ndarray, big_c: np.ndarray) -> np.ndarray:
-        v = np.stack([big_r.T, big_c.T, (1.0 - big_r - big_c).T])
+        v = np.array([big_r.T, big_c.T, (1.0 - big_r - big_c).T])
         return self.dag.evaluate(v).T
 
     def _w(self, xa, pa, big_r, rho, trace=None):
@@ -250,24 +307,6 @@ class CoopEngine(_EngineBase):
         if trace is not None:
             trace.append((rho[0] * p0[0], rho[0] * p1[0]))
         return 1.0 - rho * (p0 + p1)
-
-    def evaluate(
-        self,
-        p_rows,
-        t_rows,
-        max_iter: int = DEFAULT_MAX_ITER,
-        tol: float = DEFAULT_TOL,
-        want_trace: bool = False,
-    ) -> BatchEvolution:
-        p = np.atleast_2d(np.asarray(p_rows, dtype=float))
-        t = np.asarray(t_rows, dtype=np.int64)
-        if want_trace and p.shape[0] != 1:
-            raise ValueError("trace recording supports a single row")
-        trace = [] if want_trace else None
-        x, w, iters, conv = _fixed_point(
-            p, self.counts, t, partial(self._w, trace=trace), max_iter, tol
-        )
-        return self._finish(p, t, w, x, iters, conv, trace)
 
 
 def _leave_one_out(a: np.ndarray) -> np.ndarray:
@@ -296,7 +335,7 @@ class NoncoopEngine(_EngineBase):
             for i in range(topology.num_groups)
             for j in topology.groups[i].bs_set
         ]
-        self.pair_group = np.array([i for i, _ in pairs], dtype=np.intp)
+        self.columns = np.array([i for i, _ in pairs], dtype=np.intp)
         # (M, k_max) pair indices per BS, padded at the end with the index
         # of an appended column of ones; padding there leaves the forward
         # and backward products of the real entries exact.
@@ -309,7 +348,7 @@ class NoncoopEngine(_EngineBase):
         self._pair_at = self._bs_idx[self._bs_real]
         # Pairs are emitted group-major, so per-group reduction is contiguous.
         self.group_offsets = np.searchsorted(
-            self.pair_group, np.arange(topology.num_groups)
+            self.columns, np.arange(topology.num_groups)
         )
 
     def _w(self, xa, pa, big_r, rho):
@@ -317,28 +356,6 @@ class NoncoopEngine(_EngineBase):
         wa = np.empty_like(xa)
         wa[:, self._pair_at] = 1.0 - rho[:, self._pair_at] * loo
         return wa
-
-    def evaluate(
-        self,
-        p_rows,
-        t_rows,
-        max_iter: int = DEFAULT_MAX_ITER,
-        tol: float = DEFAULT_TOL,
-    ) -> BatchEvolution:
-        p = np.atleast_2d(np.asarray(p_rows, dtype=float))
-        t = np.asarray(t_rows, dtype=np.int64)
-        x, w, iters, conv = _fixed_point(
-            p[:, self.pair_group],
-            self.counts[self.pair_group],
-            t,
-            self._w,
-            max_iter,
-            tol,
-        )
-        # w_i ~ product of the per-BS collision probabilities.
-        w_group = np.multiply.reduceat(w, self.group_offsets, axis=1)
-        x_group = np.minimum.reduceat(x, self.group_offsets, axis=1)
-        return self._finish(p, t, w_group, x_group, iters, conv)
 
 
 def make_engine(
@@ -491,6 +508,36 @@ def plr_curve(
     return PlrCurve.from_batch(out)
 
 
+def _peak_requests(seen: dict, grid: np.ndarray):
+    """One candidate's peak search. Yields the frame lengths each step
+    needs; the caller fills seen with their results before resuming."""
+
+    def best_t():
+        return max(seen, key=lambda t: (seen[t][0], -t))
+
+    yield grid
+    for _ in range(3):  # extend while the maximum sits on an edge
+        t_best, lo, hi = best_t(), min(seen), max(seen)
+        if t_best == hi:
+            yield np.linspace(hi, 2 * hi, 9).round().astype(np.int64)
+        elif t_best == lo and lo > 1:
+            yield np.linspace(max(1, lo // 2), lo, 9).round().astype(np.int64)
+        else:
+            break
+    ts = sorted(seen)
+    step = max((b - a for a, b in zip(ts, ts[1:])), default=1)
+    while step > 1:
+        t_best = best_t()
+        window = np.linspace(t_best - step, t_best + step, 9)
+        request = list(np.clip(window.round().astype(np.int64), 1, None))
+        step = max(1, math.ceil(step / 4))
+        if step == 1:
+            request += range(max(1, t_best - 3), t_best + 4)
+        yield request
+    t_best = best_t()  # final unit-step sweep around the maximum
+    yield range(max(1, t_best - 3), t_best + 4)
+
+
 def batched_peak_search(
     engine,
     p_mat: np.ndarray,
@@ -501,84 +548,55 @@ def batched_peak_search(
 ) -> list[dict[int, tuple]]:
     """Peak search for many probability vectors at once.
 
-    All candidates advance in lockstep so every round is one batched
-    evaluate() call: shared coarse grid, boundary extension for candidates
-    whose maximum sits on an edge, then per-candidate window refinement
-    down to unit step. Returns, per candidate, {T: (throughput, plr_avg,
-    plr_groups, converged)}. Per-candidate results are independent of how
-    candidates are batched together.
+    Each candidate evaluates a shared coarse grid, extends it when its
+    maximum sits on an edge, and refines windows around the maximum down
+    to unit step. All candidates stream their rows through one fixed-point
+    pool: once every row of a candidate's step has left the pool, the
+    candidate's next step joins it, without waiting for the others.
+    Returns, per candidate, {T: (throughput, plr_avg, plr_groups,
+    converged)}. Per-candidate results are independent of how candidates
+    are batched together.
     """
     p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
-    n_cand = p_mat.shape[0]
     if t_grid is None:
         raise ValueError("t_grid is required")
-    grid = np.asarray(t_grid, dtype=np.int64)
-    seen: list[dict[int, tuple]] = [{} for _ in range(n_cand)]
+    seen: list[dict[int, tuple]] = [{} for _ in p_mat]
+    searches = [_peak_requests(s, np.asarray(t_grid, dtype=np.int64)) for s in seen]
+    pool = _RowPool(engine, max_iter, tol)
+    rows: list[tuple[int, int]] = []  # pool key -> (candidate, T)
+    step_out: list[dict[int, tuple]] = [{} for _ in p_mat]
+    missing = [0] * len(p_mat)
 
-    def run(pairs):
-        pairs = [(c, t) for c, t in pairs if t not in seen[c]]
-        if not pairs:
-            return
-        pairs = sorted(set(pairs))
-        rows = p_mat[[c for c, _ in pairs]]
-        ts = np.array([t for _, t in pairs], dtype=np.int64)
-        out = engine.evaluate(rows, ts, max_iter=max_iter, tol=tol)
-        for k, (c, t) in enumerate(pairs):
-            seen[c][t] = (
+    def advance(c):
+        for request in searches[c]:
+            ts = sorted({int(t) for t in request} - seen[c].keys())
+            if ts:
+                pool.add(np.arange(len(rows), len(rows) + len(ts)), p_mat[[c] * len(ts)], ts)
+                rows.extend((c, t) for t in ts)
+                step_out[c] = dict.fromkeys(ts)
+                missing[c] = len(ts)
+                return
+
+    for c in range(len(p_mat)):
+        advance(c)
+    while len(pool):
+        left = pool.step()
+        if left is None:
+            continue
+        keys, x, w, iters, conv = left
+        cands, ts = zip(*(rows[k] for k in keys))
+        out = engine._finish(p_mat[list(cands)], np.array(ts), w, x, iters, conv)
+        for k, (c, t) in enumerate(zip(cands, ts)):
+            step_out[c][t] = (
                 float(out.throughput[k]),
                 float(out.plr_avg[k]),
                 out.plr_groups[k],
                 bool(out.converged[k]),
             )
-
-    def best_t(c):
-        return max(seen[c], key=lambda t: (seen[c][t][0], -t))
-
-    run([(c, int(t)) for c in range(n_cand) for t in grid])
-    for _ in range(3):  # extend when a candidate's max sits on the boundary
-        pairs = []
-        for c in range(n_cand):
-            t_best, lo, hi = best_t(c), min(seen[c]), max(seen[c])
-            if t_best == hi:
-                ext = np.linspace(hi, 2 * hi, 9).round().astype(np.int64)
-            elif t_best == lo and lo > 1:
-                ext = np.linspace(max(1, lo // 2), lo, 9).round().astype(np.int64)
-            else:
-                continue
-            pairs.extend((c, int(t)) for t in ext)
-        if not pairs:
-            break
-        run(pairs)
-
-    steps = []
-    for c in range(n_cand):
-        ts_sorted = sorted(seen[c])
-        gaps = [b - a for a, b in zip(ts_sorted, ts_sorted[1:])]
-        steps.append(max(gaps, default=1))
-    while max(steps) > 1:
-        pairs = []
-        for c in range(n_cand):
-            if steps[c] <= 1:
-                continue
-            t_best = best_t(c)
-            window = np.linspace(t_best - steps[c], t_best + steps[c], 9)
-            window = np.clip(window.round().astype(np.int64), 1, None)
-            pairs.extend((c, int(t)) for t in window)
-            steps[c] = max(1, math.ceil(steps[c] / 4))
-            if steps[c] == 1:
-                pairs.extend(
-                    (c, int(t))
-                    for t in range(max(1, t_best - 3), t_best + 4)
-                )
-        run(pairs)
-    # Final unit-step sweep around each maximum.
-    run(
-        [
-            (c, t)
-            for c in range(n_cand)
-            for t in range(max(1, best_t(c) - 3), best_t(c) + 4)
-        ]
-    )
+            missing[c] -= 1
+            if not missing[c]:
+                seen[c].update(step_out[c])
+                advance(c)
     return seen
 
 

@@ -270,9 +270,9 @@ class PatternDag:
     masks is one table of length 3^K with its companion tuple, or an
     (R, 3^K) stack with one companion tuple per row: every root has K
     companions, so level l of all roots lines up and one pass over the
-    levels evaluates all R sums. Level nodes carry (child indices into the
-    level below, the group whose digit they consume); the leaves 0 and 1
-    are shared.
+    levels evaluates all R sums. Each level holds its nodes' child indices
+    into the level below, state by state as a (3, nodes) array, and the
+    group whose digit each node consumes; the leaves 0 and 1 are shared.
     """
 
     def __init__(self, masks: np.ndarray, companions):
@@ -294,7 +294,7 @@ class PatternDag:
             keys = np.concatenate([grp, triples], axis=2).reshape(-1, 4)
             uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
             self.groups.append(uniq[:, 0])
-            self.children.append(uniq[:, 1:])
+            self.children.append(np.ascontiguousarray(uniq[:, 1:].T))
             ids = inverse.reshape(len(masks), -1)
         self.roots = ids[:, 0]
         self.num_nodes = sum(len(g) for g in self.groups)
@@ -305,11 +305,8 @@ class PatternDag:
         vals = np.zeros((2,) + v.shape[2:])
         vals[1] = 1.0
         for children, grp in zip(self.children, self.groups):
-            vals = (
-                vals[children[:, 0]] * v[0, grp]
-                + vals[children[:, 1]] * v[1, grp]
-                + vals[children[:, 2]] * v[2, grp]
-            )
+            terms = vals[children] * v[:, grp]
+            vals = terms[0] + terms[1] + terms[2]
         out = vals[self.roots]
         if self._single:
             return out[0] if out.ndim > 1 else float(out[0])

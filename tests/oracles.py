@@ -13,6 +13,11 @@ Walk-graph pattern sums: the direct 3^(I-1) enumeration of the pattern
 probabilities that the engines evaluate through the compressed DAG and the
 inclusion-exclusion closed form.
 
+Lockstep peak search, the reference for the streamed
+`frameless.evolution.batched_peak_search`: all candidates advance through
+the same rounds, each round one `evaluate` call over every candidate's
+pending frame lengths.
+
 Slot-by-slot simulator, the reference for the vectorized peeler of
 `frameless.simulator`: every un-retrieved user transmits per slot with its
 group probability, a transmission lands in the bucket of every BS the
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from frameless.evolution import DEFAULT_MAX_ITER, DEFAULT_TOL
 from frameless.simulator import FrameResult, _make_rng
 from frameless.topology import NetworkTopology, TargetDegreeVector
 from frameless.walkgraph import (
@@ -353,3 +359,94 @@ def _frameless_run(
         throughput=peel.n_ret / t,
         terminated_by="slot_cap" if threshold is not None else "fixed",
     )
+
+
+def batched_peak_search(
+    engine,
+    p_mat: np.ndarray,
+    *,
+    t_grid=None,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+) -> list[dict[int, tuple]]:
+    """Peak search for many probability vectors at once.
+
+    All candidates advance in lockstep so every round is one batched
+    evaluate() call: shared coarse grid, boundary extension for candidates
+    whose maximum sits on an edge, then per-candidate window refinement
+    down to unit step. Returns, per candidate, {T: (throughput, plr_avg,
+    plr_groups, converged)}. Per-candidate results are independent of how
+    candidates are batched together.
+    """
+    p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
+    n_cand = p_mat.shape[0]
+    if t_grid is None:
+        raise ValueError("t_grid is required")
+    grid = np.asarray(t_grid, dtype=np.int64)
+    seen: list[dict[int, tuple]] = [{} for _ in range(n_cand)]
+
+    def run(pairs):
+        pairs = [(c, t) for c, t in pairs if t not in seen[c]]
+        if not pairs:
+            return
+        pairs = sorted(set(pairs))
+        rows = p_mat[[c for c, _ in pairs]]
+        ts = np.array([t for _, t in pairs], dtype=np.int64)
+        out = engine.evaluate(rows, ts, max_iter=max_iter, tol=tol)
+        for k, (c, t) in enumerate(pairs):
+            seen[c][t] = (
+                float(out.throughput[k]),
+                float(out.plr_avg[k]),
+                out.plr_groups[k],
+                bool(out.converged[k]),
+            )
+
+    def best_t(c):
+        return max(seen[c], key=lambda t: (seen[c][t][0], -t))
+
+    run([(c, int(t)) for c in range(n_cand) for t in grid])
+    for _ in range(3):  # extend when a candidate's max sits on the boundary
+        pairs = []
+        for c in range(n_cand):
+            t_best, lo, hi = best_t(c), min(seen[c]), max(seen[c])
+            if t_best == hi:
+                ext = np.linspace(hi, 2 * hi, 9).round().astype(np.int64)
+            elif t_best == lo and lo > 1:
+                ext = np.linspace(max(1, lo // 2), lo, 9).round().astype(np.int64)
+            else:
+                continue
+            pairs.extend((c, int(t)) for t in ext)
+        if not pairs:
+            break
+        run(pairs)
+
+    steps = []
+    for c in range(n_cand):
+        ts_sorted = sorted(seen[c])
+        gaps = [b - a for a, b in zip(ts_sorted, ts_sorted[1:])]
+        steps.append(max(gaps, default=1))
+    while max(steps) > 1:
+        pairs = []
+        for c in range(n_cand):
+            if steps[c] <= 1:
+                continue
+            t_best = best_t(c)
+            window = np.linspace(t_best - steps[c], t_best + steps[c], 9)
+            window = np.clip(window.round().astype(np.int64), 1, None)
+            pairs.extend((c, int(t)) for t in window)
+            steps[c] = max(1, math.ceil(steps[c] / 4))
+            if steps[c] == 1:
+                pairs.extend(
+                    (c, int(t))
+                    for t in range(max(1, t_best - 3), t_best + 4)
+                )
+        run(pairs)
+    # Final unit-step sweep around each maximum.
+    run(
+        [
+            (c, t)
+            for c in range(n_cand)
+            for t in range(max(1, best_t(c) - 3), best_t(c) + 4)
+        ]
+    )
+    return seen

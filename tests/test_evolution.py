@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from frameless.evolution import (
+    DEFAULT_TOL,
     CoopEngine,
     NoncoopEngine,
     PlrCurve,
+    _RowPool,
+    batched_peak_search,
     default_t_grid,
     diversity_gain,
     evolve,
@@ -16,7 +20,12 @@ from frameless.evolution import (
     simultaneous_transmission_degrees,
 )
 from frameless.walkgraph import GuardError
-from frameless.topology import GroupSpec, NetworkTopology, full_topology
+from frameless.topology import (
+    GroupSpec,
+    NetworkTopology,
+    TargetDegreeVector,
+    full_topology,
+)
 from conftest import edge_topologies, random_topology
 from oracles import pattern_mass
 
@@ -344,3 +353,94 @@ def test_simultaneous_transmission_degrees(topo_m2):
 def test_diversity_gain_identity(topo_m1):
     res = diversity_gain(topo_m1, (3.10,), (3.10,), persist_tables=False)
     assert res.gamma == pytest.approx(1.0, abs=1e-9)
+
+
+def assert_same_seen(streamed, lockstep):
+    """Per candidate: the same T in the same order, and bit-equal results."""
+    assert len(streamed) == len(lockstep)
+    for a, b in zip(streamed, lockstep):
+        assert list(a) == list(b)
+        for t in a:
+            (thr_a, avg_a, grp_a, conv_a), (thr_b, avg_b, grp_b, conv_b) = a[t], b[t]
+            assert np.array([thr_a, avg_a]).tobytes() == np.array([thr_b, avg_b]).tobytes()
+            assert grp_a.tobytes() == grp_b.tobytes()
+            assert conv_a is conv_b
+
+
+def search_cases():
+    """(topology, degree rows, T grid, max_iter) covering duplicate and
+    single candidates, maxima on either grid edge, unconverged rows and
+    random networks."""
+    m2 = full_topology(2, [10000] * 3)
+    g = [[1.81, 1.81, 1.68], [2.6, 2.2, 2.4], [1.81, 1.81, 1.68]]
+    cases = [
+        (m2, g, default_t_grid(m2), 2000),
+        (m2, g[:1], range(6000, 12001, 1500), 2000),
+        (m2, g[1:2], range(40000, 60001, 5000), 2000),
+        (m2, g[:2], default_t_grid(m2), 20),
+    ]
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        topo = random_topology(rng)
+        rows = [
+            [rng.uniform(0.2, 3.0) if grp.num_users else 0.0 for grp in topo.groups]
+            for _ in range(3)
+        ]
+        cases.append((topo, rows, default_t_grid(topo), 2000))
+    return cases
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_streamed_search_matches_lockstep_oracle(mode):
+    extended, unconverged = set(), False
+    for topo, degrees, grid, max_iter in search_cases():
+        engine = make_engine(topo, mode, persist_tables=False)
+        p_mat = np.array([TargetDegreeVector(tuple(g)).probabilities(topo) for g in degrees])
+        streamed = batched_peak_search(engine, p_mat, t_grid=grid, max_iter=max_iter)
+        lockstep = oracles.batched_peak_search(engine, p_mat, t_grid=grid, max_iter=max_iter)
+        assert_same_seen(streamed, lockstep)
+        for seen in streamed:
+            extended |= {"up"} if max(seen) > max(grid) else set()
+            extended |= {"down"} if min(seen) < min(grid) else set()
+            unconverged |= not all(v[3] for v in seen.values())
+    assert extended == {"up", "down"} and unconverged
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rows_joining_mid_run_match_rows_alone(topo_m2, mode):
+    engine = make_engine(topo_m2, mode, persist_tables=False)
+    g = np.array([[1.81, 1.81, 1.68], [0.4, 0.9, 0.2], [2.6, 2.2, 2.4], [1.0, 1.0, 1.0]])
+    p = np.repeat(g / 10000.0, 2, axis=0)
+    t = np.array([16000, 9000, 14000, 30000, 12000, 20000, 5000, 16000])
+    joins = {0: [0, 1, 2], 5: [3, 4], 40: [5], 41: [6, 7]}  # iteration -> rows
+    for max_iter in (2000, 20):
+        pool = _RowPool(engine, max_iter, DEFAULT_TOL)
+        x = np.zeros((len(t), len(engine.columns)))
+        w = np.zeros_like(x)
+        iters = np.zeros(len(t), dtype=np.int64)
+        conv = np.zeros(len(t), dtype=bool)
+        it = 0
+        while it in joins or len(pool) or it < max(joins):
+            if it in joins:
+                pool.add(np.array(joins[it]), p[joins[it]], t[joins[it]])
+            left = pool.step() if len(pool) else None
+            if left is not None:
+                keys = left[0]
+                x[keys], w[keys], iters[keys], conv[keys] = left[1:]
+            it += 1
+        streamed = engine._finish(p, t, w, x, iters, conv)
+        for k in range(len(t)):
+            alone = engine.evaluate(p[k : k + 1], t[k : k + 1], max_iter=max_iter)
+            for name in ROW_FIELDS:
+                assert np.array_equal(getattr(streamed, name)[k], getattr(alone, name)[0])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_out_of_range_w_raises(topo_m2, mode, monkeypatch):
+    engine = make_engine(topo_m2, mode, persist_tables=False)
+    monkeypatch.setattr(engine, "_w", lambda xa, pa, big_r, rho: np.full_like(xa, 1.5))
+    p = np.array([[1.81, 1.81, 1.68]]) / 10000.0
+    with pytest.raises(FloatingPointError):
+        engine.evaluate(p, [16000])
+    with pytest.raises(FloatingPointError):
+        batched_peak_search(engine, p, t_grid=[12000, 16000])

@@ -102,6 +102,18 @@ def test_optimize_worker_invariance(small_spec):
     assert a.history == b.history
 
 
+def test_optimize_matches_lockstep_oracle(small_spec, monkeypatch):
+    import oracles
+    from frameless import optimizer
+
+    streamed = optimize(small_spec, seed=4)
+    monkeypatch.setattr(optimizer, "batched_peak_search", oracles.batched_peak_search)
+    lockstep = optimize(small_spec, seed=4)
+    assert streamed.best_g == lockstep.best_g
+    assert streamed.history == lockstep.history
+    assert streamed.t_star == lockstep.t_star
+
+
 def test_history_monotone(small_spec):
     res = optimize(small_spec, seed=3)
     hist = np.array(res.history)
