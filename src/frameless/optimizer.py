@@ -6,16 +6,15 @@ tie classes (groups forced to share one value). DE/rand/1/bin with
 reflection at the bounds; infeasible candidates are ranked below every
 feasible one by the negated constraint shortfall (death penalty).
 
-Fitness is the dominant cost, so candidate peak searches are evaluated in
-batched lockstep, results are cached on a 1e-4 quantization of the degree
-vector, and the walk-graph tables are shared across all evaluations. All
-mutation randomness is drawn before candidates are dispatched, so results
-do not depend on the worker count.
+Fitness is the dominant cost, so the peak searches of a whole population
+stream through one fixed-point pool (`batched_peak_search`), results are
+cached on a 1e-4 quantization of the degree vector, and the walk-graph
+tables are shared across all evaluations. The worker count only reaches
+the table builds, so results do not depend on it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -206,44 +205,10 @@ class _FitnessEvaluator:
                 p = deg(tuple(g)).probabilities(self.spec.topology)
                 new_rows.append(p)
         if new_rows:
-            p_mat = np.array(new_rows)
-            if self.workers > 1 and len(new_rows) > 1:
-                results = self._evaluate_parallel(p_mat)
-            else:
-                results = self._evaluate_block(p_mat)
+            results = self._evaluate_block(np.array(new_rows))
             for key, res in zip(new_keys, results):
                 self.cache[key] = res
         return [self.cache[key] for key in keys]
-
-    def _evaluate_parallel(self, p_mat: np.ndarray) -> list[FitnessResult]:
-        chunks = np.array_split(np.arange(len(p_mat)), self.workers)
-        chunks = [c for c in chunks if len(c)]
-        args = [(self.spec, self.grid, p_mat[c]) for c in chunks]
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            parts = list(pool.map(_parallel_block, args))
-        out: list[FitnessResult] = []
-        for part in parts:
-            out.extend(part)
-        return out
-
-
-_WORKER_EVALUATORS: dict = {}
-
-
-def _parallel_block(args):
-    from .topology import structure_fingerprint
-
-    spec, grid, p_mat = args
-    key = (
-        structure_fingerprint(spec.topology),
-        tuple(g.num_users for g in spec.topology.groups),
-        spec.mode,
-    )
-    ev = _WORKER_EVALUATORS.get(key)
-    if ev is None:
-        ev = _FitnessEvaluator(replace(spec, t_grid=tuple(int(t) for t in grid)))
-        _WORKER_EVALUATORS[key] = ev
-    return ev._evaluate_block(p_mat)
 
 
 def fitness(
