@@ -383,7 +383,8 @@ def search_cases():
     for _ in range(4):
         topo = random_topology(rng)
         rows = [
-            [rng.uniform(0.2, 3.0) if grp.num_users else 0.0 for grp in topo.groups]
+            [rng.uniform(0.2, min(3.0, grp.num_users)) if grp.num_users else 0.0
+             for grp in topo.groups]
             for _ in range(3)
         ]
         cases.append((topo, rows, default_t_grid(topo), 2000))
