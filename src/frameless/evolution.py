@@ -563,16 +563,20 @@ def batched_peak_search(
     seen: list[dict[int, tuple]] = [{} for _ in p_mat]
     searches = [_peak_requests(s, np.asarray(t_grid, dtype=np.int64)) for s in seen]
     pool = _RowPool(engine, max_iter, tol)
-    rows: list[tuple[int, int]] = []  # pool key -> (candidate, T)
+    rows: dict[int, tuple[int, int]] = {}  # pool key -> (candidate, T)
+    n_keys = 0
     step_out: list[dict[int, tuple]] = [{} for _ in p_mat]
     missing = [0] * len(p_mat)
 
     def advance(c):
+        nonlocal n_keys
         for request in searches[c]:
             ts = sorted({int(t) for t in request} - seen[c].keys())
             if ts:
-                pool.add(np.arange(len(rows), len(rows) + len(ts)), p_mat[[c] * len(ts)], ts)
-                rows.extend((c, t) for t in ts)
+                keys = range(n_keys, n_keys + len(ts))
+                n_keys += len(ts)
+                pool.add(np.array(keys), p_mat[[c] * len(ts)], ts)
+                rows.update(zip(keys, ((c, t) for t in ts)))
                 step_out[c] = dict.fromkeys(ts)
                 missing[c] = len(ts)
                 return
@@ -583,8 +587,8 @@ def batched_peak_search(
         left = pool.step()
         if left is None:
             continue
-        keys, x, w, iters, conv = left
-        cands, ts = zip(*(rows[k] for k in keys))
+        gone, x, w, iters, conv = left
+        cands, ts = zip(*(rows.pop(k) for k in gone))
         out = engine._finish(p_mat[list(cands)], np.array(ts), w, x, iters, conv)
         for k, (c, t) in enumerate(zip(cands, ts)):
             step_out[c][t] = (

@@ -305,7 +305,8 @@ class PatternDag:
         vals = np.zeros((2,) + v.shape[2:])
         vals[1] = 1.0
         for children, grp in zip(self.children, self.groups):
-            terms = vals[children] * v[:, grp]
+            terms = vals[children]
+            terms *= v[:, grp]
             vals = terms[0] + terms[1] + terms[2]
         out = vals[self.roots]
         if self._single:
