@@ -31,33 +31,19 @@ def upper_bound_throughput(num_bs: int) -> float:
 
 
 def solve_gauss_batched(q: np.ndarray, p: np.ndarray):
-    """Solve q @ y = p for stacked small systems by pivoted elimination.
+    """Solve q @ y = p for stacked small systems in one LAPACK call.
 
-    Returns (y, singular) where singular flags systems with a pivot below
-    PIVOT_TOL; their y rows are unusable and callers must fall back.
+    Returns (y, singular) where singular flags systems whose determinant
+    is below PIVOT_TOL times the product of their row norms (Hadamard's
+    bound on it); they are solved against the identity instead, so their
+    y rows are unusable and callers must fall back.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    n, m, _ = q.shape
-    aug = np.concatenate([q.copy(), p[:, :, None]], axis=2)
-    singular = np.zeros(n, dtype=bool)
-    rows = np.arange(n)
-    for k in range(m):
-        piv = np.argmax(np.abs(aug[:, k:, k]), axis=1) + k
-        swap = aug[rows, piv].copy()
-        aug[rows, piv] = aug[:, k]
-        aug[:, k] = swap
-        pivot = aug[:, k, k]
-        singular |= np.abs(pivot) < PIVOT_TOL
-        safe = np.where(singular, 1.0, pivot)
-        if k + 1 < m:
-            factors = aug[:, k + 1 :, k] / safe[:, None]
-            aug[:, k + 1 :, :] -= factors[:, :, None] * aug[:, k : k + 1, :]
-    y = np.zeros((n, m))
-    for k in range(m - 1, -1, -1):
-        acc = aug[:, k, m] - (aug[:, k, k + 1 : m] * y[:, k + 1 :]).sum(axis=1)
-        y[:, k] = acc / np.where(singular, 1.0, aug[:, k, k])
-    return y, singular
+    scale = np.linalg.norm(q, axis=2).prod(axis=1)
+    singular = np.abs(np.linalg.det(q)) <= PIVOT_TOL * scale
+    q = np.where(singular[:, None, None], np.eye(q.shape[1]), q)
+    return np.linalg.solve(q, p[:, :, None])[:, :, 0], singular
 
 
 def _union_lower_bound(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -131,7 +131,12 @@ def direct_bound_w(topo, big_r, rho):
 
 def test_fused_bound_kernel_matches_direct_solve():
     rng = np.random.default_rng(13)
-    for topo in edge_topologies() + [random_topology(rng) for _ in range(15)]:
+    # The 3-BS target's only companion is heard at BSs 1 and 2 alike, so
+    # two rows of its 3x3 Q are identical: Q is exactly singular.
+    singular = NetworkTopology(
+        num_bs=3, groups=(GroupSpec(0b111, 4), GroupSpec(0b011, 3))
+    )
+    for topo in edge_topologies() + [singular] + [random_topology(rng) for _ in range(15)]:
         n = topo.num_groups
         big_r = rng.uniform(0.05, 1.0, size=(3, n))
         rho = rng.uniform(0.05, 1.0, size=(3, n))
