@@ -560,8 +560,9 @@ def batched_peak_search(
     p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
     if t_grid is None:
         raise ValueError("t_grid is required")
+    grid = np.asarray(t_grid, dtype=np.int64)
     seen: list[dict[int, tuple]] = [{} for _ in p_mat]
-    searches = [_peak_requests(s, np.asarray(t_grid, dtype=np.int64)) for s in seen]
+    searches = [_peak_requests(s, grid) for s in seen]
     pool = _RowPool(engine, max_iter, tol)
     rows: dict[int, tuple[int, int]] = {}  # pool key -> (candidate, T)
     n_keys = 0

@@ -15,7 +15,7 @@ the table builds, so results do not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
