@@ -65,7 +65,7 @@ def _union_lower_bound(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     else:
         y, singular = solve_gauss_batched(q, p)
         out = np.where(singular, fallback, (p * y).sum(axis=1))
-    return np.clip(out, 0.0, np.minimum(1.0, p.sum(axis=1)))
+    return np.minimum(np.maximum(out, 0.0), np.minimum(1.0, p.sum(axis=1)))
 
 
 class BoundEngine(_EngineBase):
@@ -102,7 +102,7 @@ class BoundEngine(_EngineBase):
         ext = _with_ones(big_r)
         wa = np.empty_like(xa)
         for m, targets, idx, slot in self._classes:
-            terms = rho[:, targets, None] * ext[:, idx].prod(axis=-1)
+            terms = rho[:, targets, None] * np.multiply.reduce(ext[:, idx], axis=-1)
             p = terms[:, :, :m].reshape(-1, m)
             q = terms[:, :, slot].reshape(-1, m, m)
             wa[:, targets] = 1.0 - _union_lower_bound(p, q).reshape(len(xa), -1)

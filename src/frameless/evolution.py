@@ -119,20 +119,27 @@ class _RowPool:
         p, x = self.p, self.x
         base = 1.0 - p * x
         w = self.w_of(x, p, base**self.counts, base**self.nm1)
-        _check_unit("w", w)
-        np.clip(w, 0.0, 1.0, out=w)
+        if w.min() < 0.0 or w.max() > 1.0:
+            _check_unit("w", w)
+            np.clip(w, 0.0, 1.0, out=w)
         self.x = (self.q + p * w) ** self.tm1
         self.iters += 1
-        done = np.abs(self.x - x).max(axis=1) < self.tol
+        done = np.maximum.reduce(np.abs(self.x - x), axis=1) < self.tol
         leave = done | (self.iters >= self.max_iter)
         if not leave.any():
             return None
         out = (self.keys[leave], self.x[leave], w[leave], self.iters[leave], done[leave])
-        stay = ~leave
+        self._keep(~leave)
+        return out
+
+    def remove(self, keys):
+        """Drop the rows with these keys."""
+        self._keep(~np.isin(self.keys, keys))
+
+    def _keep(self, stay):
         self.keys, self.p, self.q, self.x, self.tm1, self.iters = (
             a[stay] for a in (self.keys, self.p, self.q, self.x, self.tm1, self.iters)
         )
-        return out
 
 
 @dataclass
@@ -508,34 +515,39 @@ def plr_curve(
     return PlrCurve.from_batch(out)
 
 
-def _peak_requests(seen: dict, grid: np.ndarray):
-    """One candidate's peak search. Yields the frame lengths each step
-    needs; the caller fills seen with their results before resuming."""
-
-    def best_t():
-        return max(seen, key=lambda t: (seen[t][0], -t))
-
-    yield grid
-    for _ in range(3):  # extend while the maximum sits on an edge
-        t_best, lo, hi = best_t(), min(seen), max(seen)
-        if t_best == hi:
-            yield np.linspace(hi, 2 * hi, 9).round().astype(np.int64)
-        elif t_best == lo and lo > 1:
-            yield np.linspace(max(1, lo // 2), lo, 9).round().astype(np.int64)
+def _next_request(phase, ts, t_best, grid):
+    """One candidate's peak search as a step function. Given the phase of
+    its next step, the set ts of frame lengths requested so far and the
+    best of them, returns (the step's new frame lengths, sorted; the phase
+    after it), passing over steps that request nothing new, or None once
+    the search is done."""
+    while phase is not None:
+        kind, n = phase
+        if kind == "grid":
+            request, phase = grid, ("edge", 0)
+        elif kind == "edge" and n < 3 and t_best == max(ts):  # extend at an edge
+            request = np.linspace(t_best, 2 * t_best, 9).round().astype(np.int64)
+            phase = ("edge", n + 1)
+        elif kind == "edge" and n < 3 and t_best == min(ts) > 1:
+            request = np.linspace(max(1, t_best // 2), t_best, 9).round().astype(np.int64)
+            phase = ("edge", n + 1)
         else:
-            break
-    ts = sorted(seen)
-    step = max((b - a for a, b in zip(ts, ts[1:])), default=1)
-    while step > 1:
-        t_best = best_t()
-        window = np.linspace(t_best - step, t_best + step, 9)
-        request = list(np.clip(window.round().astype(np.int64), 1, None))
-        step = max(1, math.ceil(step / 4))
-        if step == 1:
-            request += range(max(1, t_best - 3), t_best + 4)
-        yield request
-    t_best = best_t()  # final unit-step sweep around the maximum
-    yield range(max(1, t_best - 3), t_best + 4)
+            if kind == "edge":  # windows of nine around the maximum, quartering the step
+                s = sorted(ts)
+                n = max((b - a for a, b in zip(s, s[1:])), default=1)
+            if n > 1:
+                window = np.linspace(t_best - n, t_best + n, 9)
+                request = list(np.clip(window.round().astype(np.int64), 1, None))
+                n = max(1, math.ceil(n / 4))
+                if n == 1:
+                    request += range(max(1, t_best - 3), t_best + 4)
+                phase = ("window", n)
+            else:  # final unit-step sweep around the maximum
+                request, phase = range(max(1, t_best - 3), t_best + 4), None
+        new = sorted({int(t) for t in request} - ts)
+        if new:
+            return new, phase
+    return None
 
 
 def batched_peak_search(
@@ -551,57 +563,84 @@ def batched_peak_search(
     Each candidate evaluates a shared coarse grid, extends it when its
     maximum sits on an edge, and refines windows around the maximum down
     to unit step. All candidates stream their rows through one fixed-point
-    pool: once every row of a candidate's step has left the pool, the
-    candidate's next step joins it, without waiting for the others.
-    Returns, per candidate, {T: (throughput, plr_avg, plr_groups,
-    converged)}. Per-candidate results are independent of how candidates
-    are batched together.
+    pool. A candidate holds its committed step and, once any of its rows
+    has finished, a provisional next step: the request it would make if
+    every unfinished row of the committed step lost. A finished row that
+    beats the best re-plans the provisional step, so when the committed
+    step's last row leaves, the provisional step is the true next request
+    and becomes the committed one, with the rows and results it already
+    has. Provisional rows that a re-plan turns away leave the pool and
+    never enter the results. Returns, per candidate, {T: (throughput,
+    plr_avg, plr_groups, converged)}, each step's T in sorted order. A
+    row's bits do not depend on the other rows in the pool, so results
+    are independent of how candidates are batched together.
     """
     p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
     if t_grid is None:
         raise ValueError("t_grid is required")
     grid = np.asarray(t_grid, dtype=np.int64)
-    seen: list[dict[int, tuple]] = [{} for _ in p_mat]
-    searches = [_peak_requests(s, grid) for s in seen]
+    n = len(p_mat)
     pool = _RowPool(engine, max_iter, tol)
-    rows: dict[int, tuple[int, int]] = {}  # pool key -> (candidate, T)
-    n_keys = 0
-    step_out: list[dict[int, tuple]] = [{} for _ in p_mat]
-    missing = [0] * len(p_mat)
+    seen: list[dict[int, tuple]] = [{} for _ in p_mat]
+    # Committed and provisional steps: T -> result, None while in the pool.
+    cur: list[dict[int, tuple]] = [{} for _ in p_mat]
+    nxt: list[dict[int, tuple]] = [{} for _ in p_mat]
+    # Phase of the step after the committed one, and after the provisional.
+    phase, nxt_phase = [None] * n, [None] * n
+    best = [None] * n  # (throughput, -T) of the best finished committed row
 
-    def advance(c):
-        nonlocal n_keys
-        for request in searches[c]:
-            ts = sorted({int(t) for t in request} - seen[c].keys())
-            if ts:
-                keys = range(n_keys, n_keys + len(ts))
-                n_keys += len(ts)
-                pool.add(np.array(keys), p_mat[[c] * len(ts)], ts)
-                rows.update(zip(keys, ((c, t) for t in ts)))
-                step_out[c] = dict.fromkeys(ts)
-                missing[c] = len(ts)
-                return
+    def add(c, ts):  # a row's key is T * n + c
+        if ts:
+            pool.add(np.array(ts) * n + c, p_mat[[c] * len(ts)], ts)
 
-    for c in range(len(p_mat)):
-        advance(c)
+    def plan(c):
+        old = nxt[c]
+        step = _next_request(phase[c], seen[c].keys() | cur[c].keys(), -best[c][1], grid)
+        ts, nxt_phase[c] = step or ((), None)
+        nxt[c] = {t: old.get(t) for t in ts}
+        drop = [t * n + c for t, r in old.items() if r is None and t not in nxt[c]]
+        if drop:
+            pool.remove(drop)
+        add(c, [t for t in ts if t not in old])
+
+    first, after = _next_request(("grid", 0), set(), None, grid)
+    for c in range(n):
+        cur[c], phase[c] = dict.fromkeys(first), after
+        add(c, first)
     while len(pool):
         left = pool.step()
         if left is None:
             continue
         gone, x, w, iters, conv = left
-        cands, ts = zip(*(rows.pop(k) for k in gone))
-        out = engine._finish(p_mat[list(cands)], np.array(ts), w, x, iters, conv)
-        for k, (c, t) in enumerate(zip(cands, ts)):
-            step_out[c][t] = (
+        cands, ts = gone % n, gone // n
+        out = engine._finish(p_mat[cands], ts, w, x, iters, conv)
+        moved = {}  # candidate -> whether its best changed
+        for k, (c, t) in enumerate(zip(cands.tolist(), ts.tolist())):
+            r = (
                 float(out.throughput[k]),
                 float(out.plr_avg[k]),
                 out.plr_groups[k],
                 bool(out.converged[k]),
             )
-            missing[c] -= 1
-            if not missing[c]:
-                seen[c].update(step_out[c])
-                advance(c)
+            if t in nxt[c]:
+                nxt[c][t] = r
+                continue
+            cur[c][t] = r
+            gain = best[c] is None or (r[0], -t) > best[c]
+            if gain:
+                best[c] = (r[0], -t)
+            moved[c] = moved.get(c, False) or gain
+        for c, gain in moved.items():
+            if gain:
+                plan(c)
+            while cur[c] and None not in cur[c].values():  # commit
+                seen[c].update(cur[c])
+                cur[c], phase[c], nxt[c] = nxt[c], nxt_phase[c], {}
+                for t, r in cur[c].items():
+                    if r is not None:
+                        best[c] = max(best[c], (r[0], -t))
+                if cur[c]:
+                    plan(c)
     return seen
 
 
