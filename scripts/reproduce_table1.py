@@ -3,18 +3,19 @@
 simulated average throughput, and (optionally) the optimized target degrees
 for M = 1..4 with 10^4 users per group.
 
-M=4 exact analysis enumerates 3^14 walk-graph patterns per target group and
-is skipped unless --allow-long-running is given (tables are cached after the
-first run).
+Each M gets a config with the Table-1 degrees under --out, on which the
+CLI's analyze, simulate and optimize commands run. M=4 exact analysis
+enumerates 3^14 walk-graph patterns per target group and is refused unless
+--allow-long-running is given (tables are cached after the first run).
 """
 
 import argparse
-import time
+import json
+import sys
+from pathlib import Path
 
-from frameless.evolution import peak_search
-from frameless.optimizer import OptimizationSpec, optimize
-from frameless.simulator import SimulationSpec, monte_carlo
-from frameless.topology import full_topology
+from frameless.cli import EXIT_GUARD, main as cli
+from frameless.topology import full_topology, serialize_topology
 
 TABLE1_DEGREES = {
     1: (3.10,),
@@ -37,48 +38,39 @@ def main():
     ap.add_argument("--fast", action="store_true", help="reduced DE settings")
     ap.add_argument("--allow-long-running", action="store_true")
     ap.add_argument("--cache-dir", default=None)
+    ap.add_argument("--out", default="out/table1")
     args = ap.parse_args()
 
+    status = 0
     for m in args.m:
-        if m >= 4 and not args.allow_long_running:
-            print(f"M={m}: skipped (needs --allow-long-running)")
-            continue
+        out = Path(args.out) / f"m{m}"
+        out.mkdir(parents=True, exist_ok=True)
         topo = full_topology(m, [10000] * (2**m - 1))
-        g = TABLE1_DEGREES[m]
-        t0 = time.time()
-        pk = peak_search(
-            topo, g, "coop",
-            cache_dir=args.cache_dir, workers=args.workers,
-            allow_long=args.allow_long_running,
-        )
-        print(
-            f"M={m}: theoretical peak S={pk.throughput:.4f} at T*={pk.t_star} "
-            f"({time.time() - t0:.1f}s)"
-        )
-        t0 = time.time()
-        mc = monte_carlo(
-            SimulationSpec(topology=topo, mode="frameless", degrees=g,
-                           alpha=0.8, master_seed=args.seed),
-            trials=args.trials,
-            workers=args.workers,
-        )
-        print(
-            f"M={m}: simulated average S={mc.mean_throughput:.4f} "
-            f"+- {mc.stderr_throughput:.4f} over {args.trials} trials "
-            f"({time.time() - t0:.1f}s)"
-        )
-        if args.optimize:
-            t0 = time.time()
-            spec = OptimizationSpec(
-                topology=topo, alpha=0.8, mode="coop",
-                allow_long=args.allow_long_running, cache_dir=args.cache_dir,
-            )
-            res = optimize(spec, seed=args.seed, workers=args.workers, fast=args.fast)
-            print(
-                f"M={m}: optimized G={[round(v, 3) for v in res.best_g]} "
-                f"S={res.throughput:.4f} ({time.time() - t0:.1f}s)"
-            )
+        config = out / "config.json"
+        config.write_text(json.dumps({
+            "topology": json.loads(serialize_topology(topo)),
+            "degrees": list(TABLE1_DEGREES[m]),
+            "alpha": 0.8,
+            "trials": args.trials,
+        }, indent=2) + "\n")
+        common = ["--config", str(config), "--seed", str(args.seed),
+                  "--workers", str(args.workers)]
+        if args.cache_dir:
+            common += ["--cache-dir", args.cache_dir]
+        if args.allow_long_running:
+            common.append("--allow-long-running")
+        print(f"M={m}: theoretical peak")
+        codes = [cli(["analyze", *common, "--out", str(out / "analyze")])]
+        if codes[0] != EXIT_GUARD:
+            print(f"M={m}: simulated average over {args.trials} trials")
+            codes.append(cli(["simulate", *common, "--out", str(out / "simulate")]))
+            if args.optimize:
+                print(f"M={m}: optimized degrees")
+                fast = ["--fast"] if args.fast else []
+                codes.append(cli(["optimize", *common, *fast, "--out", str(out / "optimize")]))
+        status = max(status, *codes)
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

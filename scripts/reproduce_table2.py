@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Reproduce the asymmetric two-BS study: theoretical peaks (and optionally
 simulated averages / re-optimized degrees) for networks (a)-(g) where
-N1 = N2 varies against N3."""
+N1 = N2 varies against N3.
+
+Each row gets a config with the printed optimal degrees under --out, on
+which the CLI's analyze (and simulate, optimize) commands run."""
 
 import argparse
-import time
+import json
+import sys
+from pathlib import Path
 
-from frameless.evolution import peak_search
-from frameless.optimizer import OptimizationSpec, optimize
-from frameless.simulator import SimulationSpec, monte_carlo
-from frameless.topology import full_topology
+from frameless.cli import main as cli
+from frameless.topology import full_topology, serialize_topology
 
 # (N1=N2, N3) -> printed optimal degrees (G1=G2, G3) and peak throughput
 TABLE2 = {
@@ -31,31 +34,38 @@ def main():
     ap.add_argument("--fast", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--cache-dir", default=None)
+    ap.add_argument("--out", default="out/table2")
     args = ap.parse_args()
 
+    status = 0
     for row in args.rows:
         (n1, n3), (g1, g3), expect = TABLE2[row]
-        topo = full_topology(2, [n1, n1, n3])
-        degrees = (g1, g1, g3)
-        t0 = time.time()
-        pk = peak_search(topo, degrees, "coop", persist_tables=False)
-        print(
-            f"({row}) N1={n1} N3={n3}: peak S={pk.throughput:.4f} "
-            f"(printed {expect}) at T*={pk.t_star} ({time.time() - t0:.1f}s)"
-        )
+        out = Path(args.out) / row
+        out.mkdir(parents=True, exist_ok=True)
+        config = out / "config.json"
+        config.write_text(json.dumps({
+            "topology": json.loads(serialize_topology(full_topology(2, [n1, n1, n3]))),
+            "degrees": [g1, g1, g3],
+            "alpha": 0.8,
+            "trials": args.trials,
+        }, indent=2) + "\n")
+        common = ["--config", str(config), "--seed", str(args.seed),
+                  "--workers", str(args.workers)]
+        if args.cache_dir:
+            common += ["--cache-dir", args.cache_dir]
+        print(f"({row}) N1={n1} N3={n3}: peak (printed S={expect})")
+        codes = [cli(["analyze", *common, "--out", str(out / "analyze")])]
         if args.trials:
-            mc = monte_carlo(
-                SimulationSpec(topology=topo, mode="frameless", degrees=degrees,
-                               alpha=0.8, master_seed=args.seed),
-                trials=args.trials,
-                workers=args.workers,
-            )
-            print(f"({row}) simulated S={mc.mean_throughput:.4f} +- {mc.stderr_throughput:.4f}")
+            print(f"({row}) simulated")
+            codes.append(cli(["simulate", *common, "--out", str(out / "simulate")]))
         if args.optimize:
-            spec = OptimizationSpec(topology=topo, alpha=0.8, mode="coop")
-            res = optimize(spec, seed=args.seed, workers=args.workers, fast=args.fast)
-            print(f"({row}) optimized G={[round(v, 3) for v in res.best_g]} S={res.throughput:.4f}")
+            print(f"({row}) optimized")
+            fast = ["--fast"] if args.fast else []
+            codes.append(cli(["optimize", *common, *fast, "--out", str(out / "optimize")]))
+        status = max(status, *codes)
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

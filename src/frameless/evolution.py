@@ -81,8 +81,8 @@ class _RowPool:
     population counts; w_of(x, p, R, rho) returns w for every row, given
     R = (1 - p x)^N and rho = (1 - p x)^(N-1). Rows join with add() at
     any iteration, start from x = w = 1 and leave once no entry moves by
-    tol or after max_iter iterations of their own. A row's bits do not
-    depend on the other rows in the pool.
+    tol, after max_iter iterations of their own, or by remove(). A row's
+    bits do not depend on the other rows in the pool.
     """
 
     def __init__(self, engine, max_iter, tol, trace=None):
@@ -119,7 +119,7 @@ class _RowPool:
         p, x = self.p, self.x
         base = 1.0 - p * x
         w = self.w_of(x, p, base**self.counts, base**self.nm1)
-        if w.min() < 0.0 or w.max() > 1.0:
+        if w.min() < 0.0 or w.max() > 1.0:  # clipping a w in range changes no bit
             _check_unit("w", w)
             np.clip(w, 0.0, 1.0, out=w)
         self.x = (self.q + p * w) ** self.tm1
@@ -515,6 +515,12 @@ def plr_curve(
     return PlrCurve.from_batch(out)
 
 
+def _nine(a: int, b: int) -> list[int]:
+    """np.linspace(a, b, 9).round() as ints: every point is a multiple of
+    1/8 and exact in floating point, and round() also rounds half to even."""
+    return [round(a + k * (b - a) / 8) for k in range(9)]
+
+
 def _next_request(phase, ts, t_best, grid):
     """One candidate's peak search as a step function. Given the phase of
     its next step, the set ts of frame lengths requested so far and the
@@ -524,27 +530,24 @@ def _next_request(phase, ts, t_best, grid):
     while phase is not None:
         kind, n = phase
         if kind == "grid":
-            request, phase = grid, ("edge", 0)
+            request, phase = grid.tolist(), ("edge", 0)
         elif kind == "edge" and n < 3 and t_best == max(ts):  # extend at an edge
-            request = np.linspace(t_best, 2 * t_best, 9).round().astype(np.int64)
-            phase = ("edge", n + 1)
+            request, phase = _nine(t_best, 2 * t_best), ("edge", n + 1)
         elif kind == "edge" and n < 3 and t_best == min(ts) > 1:
-            request = np.linspace(max(1, t_best // 2), t_best, 9).round().astype(np.int64)
-            phase = ("edge", n + 1)
+            request, phase = _nine(max(1, t_best // 2), t_best), ("edge", n + 1)
         else:
             if kind == "edge":  # windows of nine around the maximum, quartering the step
                 s = sorted(ts)
                 n = max((b - a for a, b in zip(s, s[1:])), default=1)
             if n > 1:
-                window = np.linspace(t_best - n, t_best + n, 9)
-                request = list(np.clip(window.round().astype(np.int64), 1, None))
+                request = [max(1, t) for t in _nine(t_best - n, t_best + n)]
                 n = max(1, math.ceil(n / 4))
                 if n == 1:
                     request += range(max(1, t_best - 3), t_best + 4)
                 phase = ("window", n)
             else:  # final unit-step sweep around the maximum
                 request, phase = range(max(1, t_best - 3), t_best + 4), None
-        new = sorted({int(t) for t in request} - ts)
+        new = sorted(set(request) - ts)
         if new:
             return new, phase
     return None
@@ -588,26 +591,29 @@ def batched_peak_search(
     # Phase of the step after the committed one, and after the provisional.
     phase, nxt_phase = [None] * n, [None] * n
     best = [None] * n  # (throughput, -T) of the best finished committed row
-
-    def add(c, ts):  # a row's key is T * n + c
-        if ts:
-            pool.add(np.array(ts) * n + c, p_mat[[c] * len(ts)], ts)
+    # Keys (T * n + c) of rows that join and leave before the next iteration.
+    joins, drops = [], []
 
     def plan(c):
         old = nxt[c]
         step = _next_request(phase[c], seen[c].keys() | cur[c].keys(), -best[c][1], grid)
         ts, nxt_phase[c] = step or ((), None)
         nxt[c] = {t: old.get(t) for t in ts}
-        drop = [t * n + c for t, r in old.items() if r is None and t not in nxt[c]]
-        if drop:
-            pool.remove(drop)
-        add(c, [t for t in ts if t not in old])
+        drops.extend(t * n + c for t, r in old.items() if r is None and t not in nxt[c])
+        joins.extend(t * n + c for t in ts if t not in old)
 
     first, after = _next_request(("grid", 0), set(), None, grid)
     for c in range(n):
         cur[c], phase[c] = dict.fromkeys(first), after
-        add(c, first)
-    while len(pool):
+        joins.extend(t * n + c for t in first)
+    while joins or len(pool):
+        if drops:  # before joins: a dropped T can rejoin as a new row
+            pool.remove(drops)
+            drops.clear()
+        if joins:
+            keys = np.array(joins)
+            pool.add(keys, p_mat[keys % n], keys // n)
+            joins.clear()
         left = pool.step()
         if left is None:
             continue

@@ -407,13 +407,16 @@ def test_streamed_search_matches_lockstep_oracle(mode):
     assert extended == {"up", "down"} and unconverged
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_rows_joining_mid_run_match_rows_alone(topo_m2, mode):
-    engine = make_engine(topo_m2, mode, persist_tables=False)
+def assert_pool_rows_match_rows_alone(topo, mode, joins, drops):
+    """Rows run through one _RowPool: the rows in joins[i] join and those
+    in drops[i] are removed before iteration i. Every row that is not
+    removed must get the bits it gets evaluated alone, and removed rows
+    must never leave the pool."""
+    engine = make_engine(topo, mode, persist_tables=False)
     g = np.array([[1.81, 1.81, 1.68], [0.4, 0.9, 0.2], [2.6, 2.2, 2.4], [1.0, 1.0, 1.0]])
     p = np.repeat(g / 10000.0, 2, axis=0)
     t = np.array([16000, 9000, 14000, 30000, 12000, 20000, 5000, 16000])
-    joins = {0: [0, 1, 2], 5: [3, 4], 40: [5], 41: [6, 7]}  # iteration -> rows
+    dropped = [k for rows in drops.values() for k in rows]
     for max_iter in (2000, 20):
         pool = _RowPool(engine, max_iter, DEFAULT_TOL)
         x = np.zeros((len(t), len(engine.columns)))
@@ -421,19 +424,98 @@ def test_rows_joining_mid_run_match_rows_alone(topo_m2, mode):
         iters = np.zeros(len(t), dtype=np.int64)
         conv = np.zeros(len(t), dtype=bool)
         it = 0
-        while it in joins or len(pool) or it < max(joins):
+        while len(pool) or it <= max(joins):
             if it in joins:
                 pool.add(np.array(joins[it]), p[joins[it]], t[joins[it]])
+            if it in drops:
+                pool.remove(drops[it])
             left = pool.step() if len(pool) else None
             if left is not None:
                 keys = left[0]
                 x[keys], w[keys], iters[keys], conv[keys] = left[1:]
             it += 1
+        assert not iters[dropped].any()
         streamed = engine._finish(p, t, w, x, iters, conv)
-        for k in range(len(t)):
+        for k in sorted(set(range(len(t))) - set(dropped)):
             alone = engine.evaluate(p[k : k + 1], t[k : k + 1], max_iter=max_iter)
             for name in ROW_FIELDS:
                 assert np.array_equal(getattr(streamed, name)[k], getattr(alone, name)[0])
+
+
+JOINS = {0: [0, 1, 2], 5: [3, 4], 40: [5], 41: [6, 7]}  # iteration -> rows
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rows_joining_mid_run_match_rows_alone(topo_m2, mode):
+    assert_pool_rows_match_rows_alone(topo_m2, mode, JOINS, {})
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rows_removed_mid_run_match_rows_alone(topo_m2, mode):
+    # removals at the first row, mid-pool, and in the iteration a row joins
+    drops = {3: [0], 12: [3], 41: [5, 6]}
+    assert_pool_rows_match_rows_alone(topo_m2, mode, JOINS, drops)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_planned_search_replans_when_late_row_wins(mode, monkeypatch):
+    # At the M = 2 Table-1 degrees on the default grid, the bound's
+    # slowest row of the second window (T = 19 210) is t* itself.
+    m2 = full_topology(2, [10000] * 3)
+    cases = [
+        (m2, [1.81, 1.81, 1.68], default_t_grid(m2)),
+        (m2, [2.6, 2.2, 2.4], default_t_grid(m2)),
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        topo = random_topology(rng)
+        g = [rng.uniform(0.2, min(3.0, grp.num_users)) if grp.num_users else 0.0
+             for grp in topo.groups]
+        cases.append((topo, g, default_t_grid(topo)))
+    added = []  # (rows in the pool before the add, frame lengths added)
+    pool_add = _RowPool.add
+
+    def add(pool, keys, p, t):
+        added.append((len(pool), list(t)))
+        pool_add(pool, keys, p, t)
+
+    dropped = kept = 0
+    for topo, g, grid in cases:
+        engine = make_engine(topo, mode, persist_tables=False)
+        p = np.array([TargetDegreeVector(tuple(g)).probabilities(topo)])
+        lockstep = oracles.batched_peak_search(engine, p, t_grid=grid)
+        added.clear()
+        with monkeypatch.context() as m:
+            m.setattr(_RowPool, "add", add)
+            planned = batched_peak_search(engine, p, t_grid=grid)
+        assert_same_seen(planned, lockstep)
+        # With one candidate, a row that joins a non-empty pool was planned
+        # while its predecessor step still ran.
+        dropped += sum(len(ts) for _, ts in added) - len(planned[0])
+        kept += sum(t in planned[0] for n_rows, ts in added if n_rows for t in ts)
+    assert dropped > 0 and kept > 0
+
+
+def test_planned_search_beats_waiting_for_each_step(topo_m2, monkeypatch):
+    # The coop search at the M = 2 Table-1 degrees. The lockstep oracle runs
+    # one candidate's steps one after another, each until its slowest row,
+    # which is what streaming without planning costs.
+    engine = make_engine(topo_m2, "coop", persist_tables=False)
+    p = np.array([TargetDegreeVector((1.81, 1.81, 1.68)).probabilities(topo_m2)])
+    grid = default_t_grid(topo_m2)
+    calls = []
+    pool_step = _RowPool.step
+
+    def step(pool):
+        calls.append(len(pool))
+        return pool_step(pool)
+
+    monkeypatch.setattr(_RowPool, "step", step)
+    oracles.batched_peak_search(engine, p, t_grid=grid)
+    waiting = len(calls)
+    calls.clear()
+    batched_peak_search(engine, p, t_grid=grid)
+    assert len(calls) < waiting
 
 
 @pytest.mark.parametrize("mode", MODES)
