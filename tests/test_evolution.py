@@ -489,8 +489,9 @@ def test_planned_search_replans_when_late_row_wins(mode, monkeypatch):
             m.setattr(_RowPool, "add", add)
             planned = batched_peak_search(engine, p, t_grid=grid)
         assert_same_seen(planned, lockstep)
-        # With one candidate, a row that joins a non-empty pool was planned
-        # while its predecessor step still ran.
+        # With one candidate, every row after the grid joins as a provisional
+        # row. Rows that never reach the results were dropped; one that
+        # joined while other rows still ran and reaches them was kept.
         dropped += sum(len(ts) for _, ts in added) - len(planned[0])
         kept += sum(t in planned[0] for n_rows, ts in added if n_rows for t in ts)
     assert dropped > 0 and kept > 0
