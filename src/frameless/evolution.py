@@ -116,6 +116,8 @@ class _RowPool:
     def step(self):
         """Run one iteration of every row. Returns (keys, x, w, iterations,
         converged) of the rows that leave, or None."""
+        if not len(self.keys):  # remove() can empty the pool
+            return None
         p, x = self.p, self.x
         base = 1.0 - p * x
         w = self.w_of(x, p, base**self.counts, base**self.nm1)
@@ -521,17 +523,15 @@ def _nine(a: int, b: int) -> list[int]:
     return [round(a + k * (b - a) / 8) for k in range(9)]
 
 
-def _next_request(phase, ts, t_best, grid):
-    """One candidate's peak search as a step function. Given the phase of
-    its next step, the set ts of frame lengths requested so far and the
-    best of them, returns (the step's new frame lengths, sorted; the phase
-    after it), passing over steps that request nothing new, or None once
-    the search is done."""
+def _next_request(phase, ts, t_best):
+    """One candidate's peak search after its grid, as a step function.
+    Given the phase of its next step, the set ts of frame lengths requested
+    so far and the best of them, returns (the step's new frame lengths,
+    sorted; the phase after it), passing over steps that request nothing
+    new, or None once the search is done."""
     while phase is not None:
         kind, n = phase
-        if kind == "grid":
-            request, phase = grid.tolist(), ("edge", 0)
-        elif kind == "edge" and n < 3 and t_best == max(ts):  # extend at an edge
+        if kind == "edge" and n < 3 and t_best == max(ts):  # extend at an edge
             request, phase = _nine(t_best, 2 * t_best), ("edge", n + 1)
         elif kind == "edge" and n < 3 and t_best == min(ts) > 1:
             request, phase = _nine(max(1, t_best // 2), t_best), ("edge", n + 1)
@@ -581,7 +581,6 @@ def batched_peak_search(
     p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
     if t_grid is None:
         raise ValueError("t_grid is required")
-    grid = np.asarray(t_grid, dtype=np.int64)
     n = len(p_mat)
     pool = _RowPool(engine, max_iter, tol)
     seen: list[dict[int, tuple]] = [{} for _ in p_mat]
@@ -596,15 +595,15 @@ def batched_peak_search(
 
     def plan(c):
         old = nxt[c]
-        step = _next_request(phase[c], seen[c].keys() | cur[c].keys(), -best[c][1], grid)
+        step = _next_request(phase[c], seen[c].keys() | cur[c].keys(), -best[c][1])
         ts, nxt_phase[c] = step or ((), None)
         nxt[c] = {t: old.get(t) for t in ts}
         drops.extend(t * n + c for t, r in old.items() if r is None and t not in nxt[c])
         joins.extend(t * n + c for t in ts if t not in old)
 
-    first, after = _next_request(("grid", 0), set(), None, grid)
+    first = sorted(set(np.asarray(t_grid, dtype=np.int64).tolist()))
     for c in range(n):
-        cur[c], phase[c] = dict.fromkeys(first), after
+        cur[c], phase[c] = dict.fromkeys(first), ("edge", 0)
         joins.extend(t * n + c for t in first)
     while joins or len(pool):
         if drops:  # before joins: a dropped T can rejoin as a new row

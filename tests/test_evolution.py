@@ -429,7 +429,7 @@ def assert_pool_rows_match_rows_alone(topo, mode, joins, drops):
                 pool.add(np.array(joins[it]), p[joins[it]], t[joins[it]])
             if it in drops:
                 pool.remove(drops[it])
-            left = pool.step() if len(pool) else None
+            left = pool.step()
             if left is not None:
                 keys = left[0]
                 x[keys], w[keys], iters[keys], conv[keys] = left[1:]
@@ -495,6 +495,28 @@ def test_planned_search_replans_when_late_row_wins(mode, monkeypatch):
         dropped += sum(len(ts) for _, ts in added) - len(planned[0])
         kept += sum(t in planned[0] for n_rows, ts in added if n_rows for t in ts)
     assert dropped > 0 and kept > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_planned_search_ends_after_dropping_the_last_rows(mode, monkeypatch):
+    # One BS with 31 users at degree 1: the grid has unit steps around t*,
+    # and the committed step's last row wins. The re-plan then ends the
+    # search and drops every provisional row, which empties the pool.
+    topo = full_topology(1, [31])
+    engine = make_engine(topo, mode, persist_tables=False)
+    p = np.array([TargetDegreeVector((1.0,)).probabilities(topo)])
+    grid = default_t_grid(topo)
+    left = []  # rows in the pool after each remove()
+    pool_remove = _RowPool.remove
+
+    def remove(pool, keys):
+        pool_remove(pool, keys)
+        left.append(len(pool))
+
+    monkeypatch.setattr(_RowPool, "remove", remove)
+    planned = batched_peak_search(engine, p, t_grid=grid)
+    assert_same_seen(planned, oracles.batched_peak_search(engine, p, t_grid=grid))
+    assert 0 in left
 
 
 def test_planned_search_beats_waiting_for_each_step(topo_m2, monkeypatch):
