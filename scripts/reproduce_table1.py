@@ -3,8 +3,9 @@
 simulated average throughput, and (optionally) the optimized target degrees
 for M = 1..4 with 10^4 users per group.
 
-Each M gets a config with the Table-1 degrees under --out, on which the
-CLI's analyze, simulate and optimize commands run. M=4 exact analysis
+Each M runs the CLI's analyze, simulate and optimize commands on
+configs/table1_mM.json (the Table-1 degrees), copied under --out with the
+given trial count. M=4 exact analysis
 enumerates 3^14 walk-graph patterns per target group and is refused unless
 --allow-long-running is given (tables are cached after the first run).
 """
@@ -15,17 +16,8 @@ import sys
 from pathlib import Path
 
 from frameless.cli import EXIT_GUARD, main as cli
-from frameless.topology import full_topology, serialize_topology
 
-TABLE1_DEGREES = {
-    1: (3.10,),
-    2: (1.81, 1.81, 1.68),
-    3: (1.11, 1.11, 0.94, 1.11, 0.94, 0.94, 0.78),
-    4: (
-        0.69, 0.69, 0.52, 0.69, 0.52, 0.52, 0.46,
-        0.69, 0.52, 0.52, 0.46, 0.52, 0.46, 0.46, 0.46,
-    ),
-}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def main():
@@ -45,14 +37,11 @@ def main():
     for m in args.m:
         out = Path(args.out) / f"m{m}"
         out.mkdir(parents=True, exist_ok=True)
-        topo = full_topology(m, [10000] * (2**m - 1))
+        doc = json.loads((CONFIGS / f"table1_m{m}.json").read_text())
+        del doc["mode"]  # an analysis mode; simulate would read it as its own
+        doc["trials"] = args.trials
         config = out / "config.json"
-        config.write_text(json.dumps({
-            "topology": json.loads(serialize_topology(topo)),
-            "degrees": list(TABLE1_DEGREES[m]),
-            "alpha": 0.8,
-            "trials": args.trials,
-        }, indent=2) + "\n")
+        config.write_text(json.dumps(doc, indent=2) + "\n")
         common = ["--config", str(config), "--seed", str(args.seed),
                   "--workers", str(args.workers)]
         if args.cache_dir:
