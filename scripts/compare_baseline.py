@@ -6,7 +6,7 @@ normalized throughput (plot-ready CSV)."""
 import argparse
 import sys
 
-from frameless.cli import build_parser, cmd_compare
+from frameless.cli import main as cli
 
 
 def main():
@@ -16,12 +16,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args()
-    parser = build_parser()
-    ns = parser.parse_args(
-        ["compare", "--config", args.config, "--out", args.out,
-         "--seed", str(args.seed), "--workers", str(args.workers)]
-    )
-    return cmd_compare(ns)
+    return cli(["compare", "--config", args.config, "--out", args.out,
+                "--seed", str(args.seed), "--workers", str(args.workers)])
 
 
 if __name__ == "__main__":

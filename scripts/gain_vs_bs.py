@@ -6,7 +6,7 @@ runs for M <= 3 by default; M = 4 needs --allow-long-running."""
 import argparse
 import sys
 
-from frameless.cli import cmd_bounds, build_parser
+from frameless.cli import main as cli
 
 
 def main():
@@ -21,9 +21,7 @@ def main():
                 "--seed", str(args.seed), "--workers", str(args.workers)]
     if args.allow_long_running:
         cli_args.append("--allow-long-running")
-    parser = build_parser()
-    ns = parser.parse_args(cli_args)
-    return cmd_bounds(ns)
+    return cli(cli_args)
 
 
 if __name__ == "__main__":

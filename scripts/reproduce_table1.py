@@ -38,25 +38,24 @@ def main():
         out = Path(args.out) / f"m{m}"
         out.mkdir(parents=True, exist_ok=True)
         doc = json.loads((CONFIGS / f"table1_m{m}.json").read_text())
-        del doc["mode"]  # an analysis mode; simulate would read it as its own
         doc["trials"] = args.trials
         config = out / "config.json"
         config.write_text(json.dumps(doc, indent=2) + "\n")
         common = ["--config", str(config), "--seed", str(args.seed),
                   "--workers", str(args.workers)]
-        if args.cache_dir:
-            common += ["--cache-dir", args.cache_dir]
+        analysis = ["--cache-dir", args.cache_dir] if args.cache_dir else []
         if args.allow_long_running:
-            common.append("--allow-long-running")
+            analysis.append("--allow-long-running")
         print(f"M={m}: theoretical peak")
-        codes = [cli(["analyze", *common, "--out", str(out / "analyze")])]
+        codes = [cli(["analyze", *common, *analysis, "--out", str(out / "analyze")])]
         if codes[0] != EXIT_GUARD:
             print(f"M={m}: simulated average over {args.trials} trials")
             codes.append(cli(["simulate", *common, "--out", str(out / "simulate")]))
             if args.optimize:
                 print(f"M={m}: optimized degrees")
                 fast = ["--fast"] if args.fast else []
-                codes.append(cli(["optimize", *common, *fast, "--out", str(out / "optimize")]))
+                codes.append(cli(["optimize", *common, *analysis, *fast,
+                                  "--out", str(out / "optimize")]))
         status = max(status, *codes)
     return status
 

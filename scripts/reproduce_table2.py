@@ -52,17 +52,17 @@ def main():
         }, indent=2) + "\n")
         common = ["--config", str(config), "--seed", str(args.seed),
                   "--workers", str(args.workers)]
-        if args.cache_dir:
-            common += ["--cache-dir", args.cache_dir]
+        cache = ["--cache-dir", args.cache_dir] if args.cache_dir else []
         print(f"({row}) N1={n1} N3={n3}: peak (printed S={expect})")
-        codes = [cli(["analyze", *common, "--out", str(out / "analyze")])]
+        codes = [cli(["analyze", *common, *cache, "--out", str(out / "analyze")])]
         if args.trials:
             print(f"({row}) simulated")
             codes.append(cli(["simulate", *common, "--out", str(out / "simulate")]))
         if args.optimize:
             print(f"({row}) optimized")
             fast = ["--fast"] if args.fast else []
-            codes.append(cli(["optimize", *common, *fast, "--out", str(out / "optimize")]))
+            codes.append(cli(["optimize", *common, *cache, *fast,
+                              "--out", str(out / "optimize")]))
         status = max(status, *codes)
     return status
 

@@ -20,7 +20,6 @@ from .walkgraph import (
     build_retrievability_table,
     load_or_build_tables,
 )
-from .closedform import closed_form_w_m3, closed_form_for_topology
 from .evolution import (
     SINGLE_BS_PEAK,
     EvolutionResult,

@@ -1,7 +1,7 @@
 """Command-line surface: analyze, simulate, optimize, bounds, compare, repro.
 
-Every command reads a JSON config, writes CSV (canonical) plus a JSON
-mirror into --out, and embeds the config hash, tool version, and seed in
+Every command but repro reads a JSON config, writes CSV (canonical) plus a
+JSON mirror into --out, and embeds the config hash, tool version, and seed in
 each output so identical configs reproduce identical primary columns.
 
 Exit codes: 0 success, 2 config error, 3 guard refusal (pattern space too
@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .bounds import upper_bound_throughput
 from .evolution import (
+    FAST_GROUP_LIMIT,
     GuardError,
     evolve,
     make_engine,
@@ -109,7 +110,7 @@ def _meta_lines(doc: dict, args, extra=None) -> list[str]:
     meta = {
         "tool_version": __version__,
         "config_hash": config_hash(doc),
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "rng": RNG_ID,
     }
     meta.update(extra or {})
@@ -125,7 +126,7 @@ def _emit_json(path: Path, doc: dict, payload: dict, args, extra=None):
     full = {
         "tool_version": __version__,
         "config_hash": config_hash(doc),
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         **(extra or {}),
         **payload,
     }
@@ -202,13 +203,17 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     topology = _topology_from(doc)
-    mode = doc.get("mode", "frameless")
+    # The frame kind follows from the config's keys: a replica distribution
+    # means the framed baseline, a frame length a fixed-length frame.
+    mode = "spatio" if "replica_dist" in doc else "fixed" if "t" in doc else "frameless"
     replica = None
     degrees = None
     if mode == "spatio":
-        raw = doc.get("replica_dist")
-        if not raw:
-            raise ConfigError("spatio mode needs 'replica_dist'")
+        raw = doc["replica_dist"]
+        if not raw or "t" not in doc:
+            raise ConfigError(
+                "spatio frames need a non-empty 'replica_dist' and a frame length 't'"
+            )
         replica = tuple(sorted((int(k), float(v)) for k, v in raw.items()))
     else:
         degrees = _degrees_from(doc, topology)
@@ -312,7 +317,7 @@ def cmd_bounds(args) -> int:
         opt_b = optimize(bound_spec, seed=args.seed, workers=args.workers)
         row["s_lower"] = opt_b.throughput
         row["gamma_lower"] = opt_b.throughput / pk_nc.throughput
-        exact_possible = 2**m - 1 <= 7 or args.allow_long_running
+        exact_possible = 2**m - 1 <= FAST_GROUP_LIMIT or args.allow_long_running
         if exact_possible and str(m) in exact_g:
             pk_c = peak_search(
                 topology,
@@ -447,6 +452,22 @@ def cmd_repro(args) -> int:
     return EXIT_OK if not failures else 1
 
 
+# Every flag a command may take; each command registers the ones it reads.
+FLAGS = {
+    "--config": dict(required=True, help="JSON config path"),
+    "--seed": dict(type=int, default=0),
+    "--workers": dict(type=int, default=1),
+    "--out": dict(default="out", help="output directory"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="stdout summary format"),
+    "--fast": dict(action="store_true", help="scaled-down settings for smoke runs"),
+    "--allow-long-running": dict(action="store_true", help="permit exact analysis "
+                                 "beyond 7 groups (e.g. full M=4)"),
+    "--cache-dir": dict(help="retrievability table cache (default: "
+                        "$FRAMELESS_CACHE_DIR or ~/.cache/frameless-aloha)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frameless-aloha",
@@ -456,49 +477,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="stdout summary format")
-        p.add_argument("--fast", action="store_true",
-                       help="scaled-down settings for smoke runs")
-        p.add_argument("--allow-long-running", action="store_true",
-                       help="permit exact analysis beyond 7 groups (e.g. full M=4)")
-        p.add_argument("--cache-dir", default=None,
-                       help="retrievability table cache (default: "
-                            "$FRAMELESS_CACHE_DIR or ~/.cache/frameless-aloha)")
+    def command(name, func, help, flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="density-evolution PLR curve and peak")
-    common(p)
+    run = "--config --seed --workers --out"
+    p = command("analyze", cmd_analyze, "density-evolution PLR curve and peak",
+                f"{run} --format --allow-long-running --cache-dir")
     p.add_argument("--mode", choices=("coop", "noncoop", "bound"), default=None)
     p.add_argument("--trace", action="store_true",
                    help="write per-iteration retrieval-probability trace")
     p.add_argument("--grid-points", type=int, default=41)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="Monte Carlo frames")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("optimize", help="differential-evolution degree search")
-    common(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("bounds", help="gain bounds versus number of BSs")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("compare", help="frameless vs spatio-temporal baseline")
-    common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("repro", help="scaled-down acceptance checks")
-    common(p, needs_config=False)
-    p.set_defaults(func=cmd_repro)
+    command("simulate", cmd_simulate, "Monte Carlo frames", f"{run} --format")
+    command("optimize", cmd_optimize, "differential-evolution degree search",
+            f"{run} --format --fast --allow-long-running --cache-dir")
+    command("bounds", cmd_bounds, "gain bounds versus number of BSs",
+            f"{run} --allow-long-running --cache-dir")
+    command("compare", cmd_compare, "frameless vs spatio-temporal baseline", run)
+    command("repro", cmd_repro, "scaled-down acceptance checks",
+            "--seed --workers --cache-dir")
     return parser
 
 

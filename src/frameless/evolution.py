@@ -260,7 +260,6 @@ class CoopEngine(_EngineBase):
         cache_dir=None,
         workers: int = 1,
         allow_long: bool = False,
-        persist_tables: bool = True,
     ):
         super().__init__(topology)
         n_groups = topology.num_groups
@@ -269,9 +268,7 @@ class CoopEngine(_EngineBase):
                 f"exact cooperative analysis over {n_groups} groups means "
                 f"3^{n_groups - 1} patterns per target; pass allow_long=True"
             )
-        self.tables = load_or_build_tables(
-            topology, cache_dir=cache_dir, workers=workers, persist=persist_tables
-        )
+        self.tables = load_or_build_tables(topology, cache_dir, workers)
         # One levelized rescue DAG over all targets.
         self.dag = PatternDag(
             np.array([self.tables[i].rescue for i in range(n_groups)]),
@@ -374,15 +371,10 @@ def make_engine(
     cache_dir=None,
     workers: int = 1,
     allow_long: bool = False,
-    persist_tables: bool = True,
 ):
     if mode == "coop":
         return CoopEngine(
-            topology,
-            cache_dir=cache_dir,
-            workers=workers,
-            allow_long=allow_long,
-            persist_tables=persist_tables,
+            topology, cache_dir=cache_dir, workers=workers, allow_long=allow_long
         )
     if mode == "noncoop":
         return NoncoopEngine(topology)
@@ -459,10 +451,6 @@ class PlrCurve:
                 f"{float(self.throughput[k])!r}"
             )
 
-    def peak(self) -> tuple[int, float]:
-        k = int(np.argmax(self.throughput))
-        return int(self.t[k]), float(self.throughput[k])
-
     @classmethod
     def from_batch(cls, out: BatchEvolution) -> "PlrCurve":
         order = np.argsort(out.t, kind="stable")
@@ -515,6 +503,12 @@ def plr_curve(
     engine = engine or make_engine(topology, mode, **engine_kw)
     out = engine.evaluate_degrees(degrees, t_range, max_iter=max_iter, tol=tol)
     return PlrCurve.from_batch(out)
+
+
+def peak_t(seen: dict[int, tuple]) -> int:
+    """The peak of a {T: (throughput, ...)} search result: the frame length
+    of the highest throughput, the smallest one on a tie."""
+    return max(seen, key=lambda t: (seen[t][0], -t))
 
 
 def _nine(a: int, b: int) -> list[int]:
@@ -673,7 +667,7 @@ def peak_search(
     seen = batched_peak_search(
         engine, p[None, :], t_grid=t_grid, max_iter=max_iter, tol=tol
     )[0]
-    t_star = max(seen, key=lambda t: (seen[t][0], -t))
+    t_star = peak_t(seen)
     thr, plr_avg, plr_groups, conv = seen[t_star]
     ts = np.array(sorted(seen), dtype=np.int64)
     curve = PlrCurve(

@@ -19,13 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    batched_peak_search,
-    default_t_grid,
-    make_engine,
-)
+from .evolution import batched_peak_search, default_t_grid, make_engine, peak_t
 from .topology import NetworkTopology, TargetDegreeVector, default_tie_classes
 
 QUANT = 1e-4
@@ -44,10 +38,6 @@ class OptimizationSpec:
     mutant_factor: float = 0.2
     generations: int = 30
     crossover_rate: float = 0.9
-    t_grid: tuple[int, ...] | None = None
-    grid_points: int = 41
-    max_iter: int = DEFAULT_MAX_ITER
-    tol: float = DEFAULT_TOL
     allow_long: bool = False
     cache_dir: str | None = None
 
@@ -147,7 +137,7 @@ def _quantize(g: np.ndarray) -> tuple[int, ...]:
 
 
 def _result_from_peak(spec: OptimizationSpec, peak: dict[int, tuple]) -> FitnessResult:
-    t_star = max(peak, key=lambda t: (peak[t][0], -t))
+    t_star = peak_t(peak)
     throughput, plr_avg, _, converged = peak[t_star]
     success = 1.0 - plr_avg
     return FitnessResult(
@@ -167,11 +157,7 @@ class _FitnessEvaluator:
         self.workers = workers
         self.engine = None
         self.cache: dict[tuple, FitnessResult] = {}
-        self.grid = (
-            np.asarray(spec.t_grid, dtype=np.int64)
-            if spec.t_grid is not None
-            else default_t_grid(spec.topology, spec.grid_points)
-        )
+        self.grid = default_t_grid(spec.topology)
 
     def _ensure_engine(self):
         if self.engine is None:
@@ -185,13 +171,7 @@ class _FitnessEvaluator:
 
     def _evaluate_block(self, p_mat: np.ndarray) -> list[FitnessResult]:
         self._ensure_engine()
-        peaks = batched_peak_search(
-            self.engine,
-            p_mat,
-            t_grid=self.grid,
-            max_iter=self.spec.max_iter,
-            tol=self.spec.tol,
-        )
+        peaks = batched_peak_search(self.engine, p_mat, t_grid=self.grid)
         return [_result_from_peak(self.spec, pk) for pk in peaks]
 
     def __call__(self, g_vectors: list[np.ndarray]) -> list[FitnessResult]:
@@ -211,13 +191,10 @@ class _FitnessEvaluator:
         return [self.cache[key] for key in keys]
 
 
-def fitness(
-    spec: OptimizationSpec, g, *, evaluator: _FitnessEvaluator | None = None
-) -> FitnessResult:
+def fitness(spec: OptimizationSpec, g) -> FitnessResult:
     """Peak throughput, its frame length, and constraint feasibility for
     one full-length target-degree vector."""
-    evaluator = evaluator or _FitnessEvaluator(spec)
-    return evaluator([np.asarray(g, dtype=float)])[0]
+    return _FitnessEvaluator(spec)([np.asarray(g, dtype=float)])[0]
 
 
 def _reflect(v: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -236,25 +236,18 @@ def load_table(topology: NetworkTopology, target: int, cache_dir=None):
 
 
 def load_or_build_tables(
-    topology: NetworkTopology,
-    targets=None,
-    cache_dir=None,
-    workers: int = 1,
-    persist: bool = True,
+    topology: NetworkTopology, cache_dir=None, workers: int = 1
 ) -> dict[int, RetrievabilityTable]:
-    """Tables for the given targets (default: all groups), disk-cached."""
-    if targets is None:
-        targets = range(topology.num_groups)
+    """Tables for every group, disk-cached."""
     out = {}
-    for t in targets:
+    for t in range(topology.num_groups):
         table = load_table(topology, t, cache_dir)
         if table is None:
             table = build_retrievability_table(topology, t, workers=workers)
-            if persist:
-                try:
-                    save_table(table, topology, cache_dir)
-                except OSError:
-                    pass
+            try:
+                save_table(table, topology, cache_dir)
+            except OSError:
+                pass
         out[t] = table
     return out
 

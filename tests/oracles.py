@@ -13,6 +13,13 @@ Walk-graph pattern sums: the direct 3^(I-1) enumeration of the pattern
 probabilities that the engines evaluate through the compressed DAG and the
 inclusion-exclusion closed form.
 
+Closed-form w expressions for the three-BS full topology: transcriptions
+of the hand-derived collision-resolution formulas for a network with all
+seven groups of a 3-BS deployment, indexed in the convention u1={1},
+u2={2}, u3={3}, u4={1,2}, u5={2,3}, u6={1,3}, u7={1,2,3}. Targets 2, 3, 5
+and 6 follow from targets 1 and 4 by permuting BS labels. Used as an
+independent oracle against the walk-graph enumeration.
+
 Lockstep peak search, the reference for the streamed
 `frameless.evolution.batched_peak_search`: all candidates advance through
 the same rounds, each round one `evaluate` call over every candidate's
@@ -211,6 +218,117 @@ def compute_w_coop(
     if w < -1e-6 or w > 1.0 + 1e-6:
         raise ValueError(f"w={w} outside [0,1] beyond float tolerance")
     return min(max(w, 0.0), 1.0)
+
+
+APPENDIX_BS_SETS = (
+    frozenset({1}),
+    frozenset({2}),
+    frozenset({3}),
+    frozenset({1, 2}),
+    frozenset({2, 3}),
+    frozenset({1, 3}),
+    frozenset({1, 2, 3}),
+)
+
+# Group-index permutations induced by BS relabelings: entry k-1 names the
+# appendix group whose probabilities play role k in the base formula.
+_PERMS = {
+    1: (1, 2, 3, 4, 5, 6, 7),
+    2: (2, 1, 3, 4, 6, 5, 7),  # swap BS 1 and 2
+    3: (3, 2, 1, 5, 4, 6, 7),  # swap BS 1 and 3
+    4: (1, 2, 3, 4, 5, 6, 7),
+    5: (2, 3, 1, 5, 6, 4, 7),  # rotate BSs 1->2->3->1
+    6: (1, 3, 2, 6, 5, 4, 7),  # swap BS 2 and 3
+    7: (1, 2, 3, 4, 5, 6, 7),
+}
+_BASE = {1: 1, 2: 1, 3: 1, 4: 4, 5: 4, 6: 4, 7: 7}
+
+
+def _retrieval_sum_u1(r, c):
+    rb = 1.0 - r
+    return (
+        r[4] * r[6] * r[7]
+        + c[4] * r[2] * r[5] * r[6] * r[7]
+        + c[4] * c[5] * r[2] * r[3] * r[6] * r[7]
+        + c[6] * r[3] * r[4] * r[5] * r[7]
+        + c[6] * c[5] * r[2] * r[3] * r[4] * r[7]
+        + c[4] * c[6] * r[2] * r[3] * r[5] * r[7]
+        + c[7]
+        * (
+            r[4] * r[5] * r[6] * (1.0 - rb[2] * rb[3])
+            + c[4] * r[2] * r[3] * r[5] * r[6]
+            + c[6] * r[2] * r[3] * r[4] * r[5]
+        )
+    )
+
+
+def _retrieval_sum_u4(r, c):
+    rb = 1.0 - r
+    return (
+        r[7]
+        * (
+            r[5] * r[6] * (1.0 - rb[1] * rb[2])
+            + (1.0 - r[5] - c[5]) * r[1] * r[6]
+            + (1.0 - r[6] - c[6]) * r[2] * r[5]
+            + c[5] * r[6] * (r[1] + rb[1] * r[2] * r[3])
+            + c[6] * r[5] * (r[2] + rb[2] * r[1] * r[3])
+        )
+        + c[7] * r[3] * r[5] * r[6] * (1.0 - rb[1] * rb[2])
+    )
+
+
+def _retrieval_sum_u7(r, c):
+    rb = 1.0 - r
+    return (
+        r[4] * r[5] * r[6] * (1.0 - rb[1] * rb[2] * rb[3])
+        + r[4] * r[5] * rb[6] * r[2]
+        + r[4] * rb[5] * r[6] * r[1]
+        + rb[4] * r[5] * r[6] * r[3]
+    )
+
+
+_SUMS = {1: _retrieval_sum_u1, 4: _retrieval_sum_u4, 7: _retrieval_sum_u7}
+
+
+def closed_form_w_m3(probs_r, probs_c, rho_target: float, target: int) -> float:
+    """w for one target group of the full 3-BS network.
+
+    probs_r and probs_c are length-7 sequences in the appendix group
+    convention (see APPENDIX_BS_SETS); rho_target is the probability the
+    target packet is its group's sole un-retrieved transmission.
+    """
+    if target not in range(1, 8):
+        raise ValueError(f"target must be in 1..7, got {target}")
+    perm = _PERMS[target]
+    pr = np.asarray(probs_r, dtype=float)
+    pc = np.asarray(probs_c, dtype=float)
+    if pr.shape[0] != 7 or pc.shape[0] != 7:
+        raise ValueError("need probabilities for all 7 groups")
+    # 1-indexed views with roles permuted for the target's BS relabeling.
+    r = np.concatenate([np.zeros((1,) + pr.shape[1:]), pr[[k - 1 for k in perm]]])
+    c = np.concatenate([np.zeros((1,) + pc.shape[1:]), pc[[k - 1 for k in perm]]])
+    w = 1.0 - rho_target * _SUMS[_BASE[target]](r, c)
+    return w
+
+
+def appendix_index(topology: NetworkTopology) -> tuple[int, ...]:
+    """Map appendix position k (0-based) to the topology's group index."""
+    if topology.num_bs != 3 or topology.num_groups != 7:
+        raise ValueError("closed forms require the full 3-BS topology")
+    by_set = {frozenset(g.bs_set): i for i, g in enumerate(topology.groups)}
+    return tuple(by_set[s] for s in APPENDIX_BS_SETS)
+
+
+def closed_form_for_topology(
+    topology: NetworkTopology, probs_r, probs_c, probs_rho, group_index: int
+) -> float:
+    """closed_form_w_m3 addressed by topology group order instead."""
+    order = appendix_index(topology)
+    pr = np.asarray(probs_r, dtype=float)[list(order)]
+    pc = np.asarray(probs_c, dtype=float)[list(order)]
+    target = order.index(group_index) + 1
+    rho = float(np.asarray(probs_rho, dtype=float)[group_index])
+    return closed_form_w_m3(pr, pc, rho, target)
 
 
 class _Peeler:

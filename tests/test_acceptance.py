@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 
 from frameless.bounds import BoundEngine, upper_bound_throughput
-from frameless.closedform import closed_form_for_topology
 from frameless.evolution import (
     CoopEngine,
     evolve,
@@ -43,7 +42,7 @@ from frameless.walkgraph import (
     load_or_build_tables,
 )
 from conftest import long_running, random_topology
-from oracles import compute_w_coop, pattern_mass
+from oracles import closed_form_for_topology, compute_w_coop, pattern_mass
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -178,7 +177,7 @@ def test_c3_table2_rows():
     details = []
     for name, (counts, degrees, expect) in TABLE2.items():
         topo = full_topology(2, counts)
-        pk = peak_search(topo, degrees, "coop", persist_tables=False)
+        pk = peak_search(topo, degrees, "coop")
         good = abs(pk.throughput - expect) <= 0.01
         ok &= good
         details.append(f"({name}) {pk.throughput:.4f} vs {expect}")
@@ -222,7 +221,7 @@ def test_c4_monte_carlo_m4():
 # --- criterion 5: enumeration equals the closed forms ---
 
 def test_c5_appendix_oracle(topo_m3):
-    tables = load_or_build_tables(topo_m3, persist=False)
+    tables = load_or_build_tables(topo_m3)
     rng = np.random.default_rng(55)
     worst = 0.0
     for _ in range(100):
@@ -247,7 +246,7 @@ def test_c6_gains_and_bounds():
     for name, expect_gamma in (("d", 1.26), ("c", 1.09), ("e", 1.11)):
         counts, degrees, _ = TABLE2[name]
         topo = full_topology(2, counts)
-        pk_c = peak_search(topo, degrees, "coop", persist_tables=False)
+        pk_c = peak_search(topo, degrees, "coop")
         g_nc = simultaneous_transmission_degrees(topo)
         pk_n = peak_search(topo, g_nc, "noncoop")
         gamma = pk_c.throughput / pk_n.throughput
@@ -419,7 +418,7 @@ def test_c8_small_instance_oracle(topo_tiny):
     from test_evolution import exhaustive_tiny_plr
 
     exact_coop_light = exhaustive_tiny_plr(topo_tiny, (0.75,) * 3, t_slots, share=True)
-    de_coop = evolve(topo_tiny, (0.75,) * 3, t_slots, persist_tables=False)
+    de_coop = evolve(topo_tiny, (0.75,) * 3, t_slots)
     exact_nc = exhaustive_tiny_plr(topo_tiny, (1.0,) * 3, t_slots, share=False)
     gap_nc = abs(de_nc.plr_avg - exact_nc)
     gap_coop = abs(de_coop.plr_avg - exact_coop_light)
@@ -477,11 +476,11 @@ def test_c9_monotone_closure_and_pattern_mass():
         # monotone non-increasing x across iterations
         prev = None
         for it in range(1, 9):
-            res = evolve(topo, g, t, max_iter=it, persist_tables=False)
+            res = evolve(topo, g, t, max_iter=it)
             if prev is not None:
                 ok &= bool((res.x <= prev + 1e-12).all())
             prev = res.x
-        full = evolve(topo, g, t, persist_tables=False)
+        full = evolve(topo, g, t)
         for arr in (full.plr, full.w, full.x):
             ok &= bool((arr >= -1e-9).all() and (arr <= 1 + 1e-9).all())
         # sum of all pattern probabilities equals the sole-survivor factor
@@ -516,7 +515,7 @@ def test_c9_coop_vs_noncoop_ordering():
             for grp in topo.groups
         )
         t = int(rng.integers(5, 200))
-        rc = evolve(topo, g, t, persist_tables=False)
+        rc = evolve(topo, g, t)
         rn = evolve(topo, g, t, "noncoop")
         if rc.plr_avg > rn.plr_avg + 1e-9:
             violations.append(rc.plr_avg - rn.plr_avg)

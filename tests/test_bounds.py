@@ -28,7 +28,7 @@ def test_single_bs_bound_is_exact(topo_m1):
     # 1x1 system: p Q^-1 p^t = p, identical to the cooperative analysis
     for t in (9000, 10615, 12000):
         rb = evolve(topo_m1, (3.10,), t, "bound")
-        rc = evolve(topo_m1, (3.10,), t, persist_tables=False)
+        rc = evolve(topo_m1, (3.10,), t)
         assert rb.plr_avg == pytest.approx(rc.plr_avg, abs=1e-9)
 
 
@@ -77,7 +77,7 @@ def test_bound_plr_dominates_exact(topo_m2):
     g = (1.81, 1.81, 1.68)
     for t in (12000, 14000, 16000, 18000):
         pb = evolve(topo_m2, g, t, "bound").plr
-        pc = evolve(topo_m2, g, t, persist_tables=False).plr
+        pc = evolve(topo_m2, g, t).plr
         assert (pb >= pc - 1e-9).all()
 
 
@@ -94,7 +94,7 @@ def test_bound_ordering_random(seed):
     )
     t = int(rng.integers(5, 150))
     rb = evolve(topo, g, t, "bound")
-    rc = evolve(topo, g, t, persist_tables=False)
+    rc = evolve(topo, g, t)
     assert (rb.plr >= rc.plr - 1e-9).all()
     assert rb.throughput <= rc.throughput + 1e-9
 

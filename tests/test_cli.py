@@ -1,9 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from frameless.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, config_hash, main
+from frameless.cli import (
+    EXIT_CONFIG,
+    EXIT_GUARD,
+    EXIT_OK,
+    build_parser,
+    config_hash,
+    main,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -171,3 +181,96 @@ def test_guard_exit_code(tmp_path):
 def test_shipped_configs_parse():
     for cfg in CONFIGS.glob("*.json"):
         json.loads(cfg.read_text())
+
+
+# Flags each subcommand registers: exactly the ones its command reads.
+OPTIONS = {
+    "analyze": "--config --seed --workers --out --format --allow-long-running "
+    "--cache-dir --mode --trace --grid-points",
+    "simulate": "--config --seed --workers --out --format",
+    "optimize": "--config --seed --workers --out --format --fast "
+    "--allow-long-running --cache-dir",
+    "bounds": "--config --seed --workers --out --allow-long-running --cache-dir",
+    "compare": "--config --seed --workers --out",
+    "repro": "--seed --workers --cache-dir",
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = build_parser()._subparsers._group_actions[0]
+    got = {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: set(flags.split()) for name, flags in OPTIONS.items()}
+    assert sum(map(len, got.values())) == 36
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--fast"],
+    ["compare", "--cache-dir", "x"],
+    ["bounds", "--format", "json"],
+    ["repro", "--out", "x"],
+])
+def test_unread_flag_is_rejected(tmp_path, argv):
+    cfg = small_m1_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ([] if argv[0] == "repro" else ["--config", cfg]))
+    assert exc.value.code == EXIT_CONFIG
+
+
+def trials_csv(out):
+    lines = (out / "trials.csv").read_text().splitlines()
+    return [l for l in lines if l.startswith("# mode=")], [
+        l for l in lines if not l.startswith("#")
+    ]
+
+
+def test_simulate_shipped_table1_config(tmp_path):
+    doc = json.loads((CONFIGS / "table1_m2.json").read_text())
+    doc["trials"] = 2
+    cfg = tmp_path / "table1_m2.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+    mode, rows = trials_csv(out)
+    assert mode == ["# mode=frameless"] and len(rows) == 3
+
+
+def test_simulate_config_with_t_runs_fixed_frames(tmp_path):
+    cfg = small_m1_config(tmp_path, trials=2, t=2300)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+    mode, rows = trials_csv(out)
+    assert mode == ["# mode=fixed"]
+    assert all(r.split(",")[2] == "2300" for r in rows[1:])
+
+
+def test_simulate_config_with_replica_dist_runs_spatio(tmp_path):
+    cfg = small_m1_config(tmp_path, trials=2, t=2300, replica_dist={"2": 1.0})
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+    mode, rows = trials_csv(out)
+    assert mode == ["# mode=spatio"] and len(rows) == 3
+
+
+def test_simulate_replica_dist_without_t_is_a_config_error(tmp_path):
+    cfg = small_m1_config(tmp_path, trials=2, replica_dist={"2": 1.0})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("script", ["compare_baseline.py", "gain_vs_bs.py"])
+def test_scripts_exit_like_the_cli_on_a_bad_config(tmp_path, script):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    root = CONFIGS.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    )}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--config", str(bad),
+         "--out", str(tmp_path / "o"), "--workers", "1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "config error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from frameless.closedform import (
+from frameless.topology import full_topology
+from frameless.walkgraph import load_or_build_tables
+from oracles import (
     APPENDIX_BS_SETS,
     appendix_index,
     closed_form_for_topology,
     closed_form_w_m3,
+    compute_w_coop,
 )
-from frameless.topology import full_topology
-from frameless.walkgraph import load_or_build_tables
-from oracles import compute_w_coop
 
 
 def test_all_silent_gives_zero_w():
@@ -45,7 +45,7 @@ def test_appendix_index_requires_full_m3():
 
 
 def test_matches_enumeration_on_random_probes(topo_m3):
-    tables = load_or_build_tables(topo_m3, persist=False)
+    tables = load_or_build_tables(topo_m3)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):

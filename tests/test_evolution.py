@@ -16,6 +16,7 @@ from frameless.evolution import (
     evolve,
     make_engine,
     peak_search,
+    peak_t,
     plr_curve,
     simultaneous_transmission_degrees,
 )
@@ -105,12 +106,12 @@ def test_noncoop_matches_exhaustive_tiny(topo_tiny):
 
 def test_coop_matches_exhaustive_tiny_light_load(topo_tiny):
     exact = exhaustive_tiny_plr(topo_tiny, (0.75, 0.75, 0.75), 3, share=True)
-    de = evolve(topo_tiny, (0.75, 0.75, 0.75), 3, persist_tables=False)
+    de = evolve(topo_tiny, (0.75, 0.75, 0.75), 3)
     assert de.plr_avg == pytest.approx(exact, abs=0.05)
 
 
 def test_zero_degrees_lose_everything(topo_m2):
-    res = evolve(topo_m2, (0.0, 0.0, 0.0), 100, persist_tables=False)
+    res = evolve(topo_m2, (0.0, 0.0, 0.0), 100)
     assert np.allclose(res.plr, 1.0)
     res_nc = evolve(topo_m2, (0.0, 0.0, 0.0), 100, "noncoop")
     assert np.allclose(res_nc.plr, 1.0)
@@ -118,14 +119,14 @@ def test_zero_degrees_lose_everything(topo_m2):
 
 def test_empty_group_reports_plr_one():
     topo = full_topology(2, (10000, 10000, 0))
-    res = evolve(topo, (3.098, 3.098, 0.0), 11000, persist_tables=False)
+    res = evolve(topo, (3.098, 3.098, 0.0), 11000)
     assert res.plr[2] == 1.0
     assert res.plr[0] < 0.2  # populated groups still decode
 
 
 def test_m1_coop_equals_noncoop(topo_m1):
     for t in (5000, 9000, 11000, 15000):
-        rc = evolve(topo_m1, (3.10,), t, persist_tables=False)
+        rc = evolve(topo_m1, (3.10,), t)
         rn = evolve(topo_m1, (3.10,), t, "noncoop")
         assert rc.plr_avg == pytest.approx(rn.plr_avg, abs=1e-9)
 
@@ -134,7 +135,7 @@ def test_disjoint_bs_coop_equals_noncoop():
     # no overlap: cooperation has nothing to share
     topo = NetworkTopology(2, (GroupSpec(0b01, 5000), GroupSpec(0b10, 5000)))
     for t in (2000, 3000, 4000):
-        rc = evolve(topo, (3.0, 3.0), t, persist_tables=False)
+        rc = evolve(topo, (3.0, 3.0), t)
         rn = evolve(topo, (3.0, 3.0), t, "noncoop")
         assert np.abs(rc.plr - rn.plr).max() < 1e-9
 
@@ -143,24 +144,24 @@ def test_monotone_x_iterates(topo_m2):
     g = (1.81, 1.81, 1.68)
     prev = None
     for max_iter in range(1, 16):
-        res = evolve(topo_m2, g, 16000, max_iter=max_iter, persist_tables=False)
+        res = evolve(topo_m2, g, 16000, max_iter=max_iter)
         if prev is not None:
             assert (res.x <= prev + 1e-12).all()
         prev = res.x
 
 
 def test_probability_closure(topo_m2):
-    res = evolve(topo_m2, (1.81, 1.81, 1.68), 16000, persist_tables=False)
+    res = evolve(topo_m2, (1.81, 1.81, 1.68), 16000)
     for arr in (res.plr, res.w, res.x):
         assert (arr >= -1e-9).all() and (arr <= 1 + 1e-9).all()
 
 
 def test_convergence_flag():
     topo = full_topology(1, [10000])
-    res = evolve(topo, (3.10,), 11000, max_iter=3, persist_tables=False)
+    res = evolve(topo, (3.10,), 11000, max_iter=3)
     assert not res.converged
     assert res.iterations == 3
-    res2 = evolve(topo, (3.10,), 11000, persist_tables=False)
+    res2 = evolve(topo, (3.10,), 11000)
     assert res2.converged
 
 
@@ -177,7 +178,7 @@ def test_coop_not_worse_on_reference_networks():
         (full_topology(2, [10000, 10000, 1000]), (3.051, 3.051, 1.869)),
     ]
     for topo, g in cases:
-        pc = peak_search(topo, g, "coop", persist_tables=False)
+        pc = peak_search(topo, g, "coop")
         pn = peak_search(topo, g, "noncoop")
         assert pc.throughput >= pn.throughput - 1e-9
         rn = evolve(topo, g, pc.t_star, "noncoop")
@@ -192,9 +193,9 @@ def test_product_approximation_squares_shared_failures():
     topo = NetworkTopology(2, (GroupSpec(0b11, 5000),))
     single = full_topology(1, [5000])
     for t in (1200, 1600, 2000):
-        rc = evolve(topo, (3.0,), t, persist_tables=False)
+        rc = evolve(topo, (3.0,), t)
         rn = evolve(topo, (3.0,), t, "noncoop")
-        ref = evolve(single, (3.0,), t, persist_tables=False)
+        ref = evolve(single, (3.0,), t)
         assert rc.plr_avg == pytest.approx(ref.plr_avg, abs=1e-9)
         assert rn.w[0] == pytest.approx(rc.w[0] ** 2, abs=1e-9)
         assert rn.plr_avg <= rc.plr_avg + 1e-12
@@ -210,13 +211,13 @@ def test_probabilities_stay_unit_random(seed):
         for grp in topo.groups
     )
     t = int(rng.integers(1, 300))
-    res = evolve(topo, g, t, persist_tables=False)
+    res = evolve(topo, g, t)
     for arr in (res.plr, res.w, res.x):
         assert (arr >= -1e-9).all() and (arr <= 1 + 1e-9).all()
 
 
 def test_trace_decomposition(topo_m3):
-    engine = CoopEngine(topo_m3, persist_tables=False)
+    engine = CoopEngine(topo_m3)
     res = evolve(topo_m3, (1.11, 1.11, 0.94, 1.11, 0.94, 0.94, 0.78),
                  25777, engine=engine, trace=True)
     assert res.trace_r0.shape == (res.iterations, 7)
@@ -228,7 +229,7 @@ def test_trace_decomposition(topo_m3):
 
 
 def test_engine_p_r0_p_r1_match_pattern_sums(topo_m3):
-    engine = CoopEngine(topo_m3, persist_tables=False)
+    engine = CoopEngine(topo_m3)
     rng = np.random.default_rng(5)
     big_r = rng.random((1, 7))
     big_c = rng.random((1, 7)) * (1 - big_r)
@@ -245,7 +246,7 @@ def test_engine_p_r0_p_r1_match_pattern_sums(topo_m3):
 def test_fused_coop_kernel_matches_pattern_sums():
     rng = np.random.default_rng(11)
     for topo in edge_topologies() + [random_topology(rng) for _ in range(15)]:
-        engine = CoopEngine(topo, persist_tables=False)
+        engine = CoopEngine(topo)
         n = topo.num_groups
         big_r = rng.random((3, n))
         big_c = rng.random((3, n)) * (1 - big_r)
@@ -278,14 +279,13 @@ def test_fused_noncoop_kernel_matches_per_bs_products():
 def test_guard_without_allow_long():
     topo8 = NetworkTopology(4, tuple(GroupSpec(m, 5) for m in range(1, 9)))
     with pytest.raises(GuardError):
-        CoopEngine(topo8, persist_tables=False)
+        CoopEngine(topo8)
 
 
 def test_plr_curve_header_and_peak(topo_m1):
-    curve = plr_curve(topo_m1, (3.10,), [9000, 10615, 12000], mode="coop",
-                      persist_tables=False)
+    curve = plr_curve(topo_m1, (3.10,), [9000, 10615, 12000], mode="coop")
     assert curve.header() == "T,plr_avg,plr_g1,throughput"
-    t_star, s_star = curve.peak()
+    t_star = peak_t(dict(zip(curve.t.tolist(), zip(curve.throughput.tolist()))))
     assert t_star == 10615
     rows = list(curve.csv_rows())
     assert len(rows) == 3 and rows[0].startswith("9000,")
@@ -299,7 +299,7 @@ def test_default_grid_brackets_peak(topo_m1):
 
 def test_peak_search_small_instance():
     topo = full_topology(1, [200])
-    pk = peak_search(topo, (3.0,), "coop", persist_tables=False)
+    pk = peak_search(topo, (3.0,), "coop")
     assert pk.t_star >= 1
     assert 0 < pk.throughput <= 1.0
     assert pk.curve.t[0] >= 1
@@ -307,8 +307,7 @@ def test_peak_search_small_instance():
 
 def test_peak_search_extends_grid(topo_m1):
     # start the grid well left of the true peak; extension must find it
-    pk = peak_search(topo_m1, (3.10,), "coop", t_grid=range(3000, 5001, 500),
-                     persist_tables=False)
+    pk = peak_search(topo_m1, (3.10,), "coop", t_grid=range(3000, 5001, 500))
     assert pk.t_star > 5000
     assert pk.throughput == pytest.approx(0.8745, abs=0.001)
 
@@ -321,14 +320,14 @@ def test_empty_t_range_rejected(topo_m1):
 @pytest.mark.parametrize("mode", MODES)
 def test_t_below_one_rejected(topo_m1, mode):
     with pytest.raises(ValueError):
-        evolve(topo_m1, (3.10,), 0, mode, persist_tables=False)
+        evolve(topo_m1, (3.10,), 0, mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_batch_rows_match_rows_alone(topo_m2, mode):
     # mixed loads and frame lengths retire at different iterations, and a
     # short max_iter leaves some rows unconverged
-    engine = make_engine(topo_m2, mode, persist_tables=False)
+    engine = make_engine(topo_m2, mode)
     g = np.array([[1.81, 1.81, 1.68], [0.4, 0.9, 0.2], [2.6, 2.2, 2.4], [1.0, 1.0, 1.0]])
     p = np.repeat(g / 10000.0, 2, axis=0)
     t = np.array([16000, 9000, 14000, 30000, 12000, 20000, 5000, 16000])
@@ -351,7 +350,7 @@ def test_simultaneous_transmission_degrees(topo_m2):
 
 
 def test_diversity_gain_identity(topo_m1):
-    res = diversity_gain(topo_m1, (3.10,), (3.10,), persist_tables=False)
+    res = diversity_gain(topo_m1, (3.10,), (3.10,))
     assert res.gamma == pytest.approx(1.0, abs=1e-9)
 
 
@@ -395,7 +394,7 @@ def search_cases():
 def test_streamed_search_matches_lockstep_oracle(mode):
     extended, unconverged = set(), False
     for topo, degrees, grid, max_iter in search_cases():
-        engine = make_engine(topo, mode, persist_tables=False)
+        engine = make_engine(topo, mode)
         p_mat = np.array([TargetDegreeVector(tuple(g)).probabilities(topo) for g in degrees])
         streamed = batched_peak_search(engine, p_mat, t_grid=grid, max_iter=max_iter)
         lockstep = oracles.batched_peak_search(engine, p_mat, t_grid=grid, max_iter=max_iter)
@@ -412,7 +411,7 @@ def assert_pool_rows_match_rows_alone(topo, mode, joins, drops):
     in drops[i] are removed before iteration i. Every row that is not
     removed must get the bits it gets evaluated alone, and removed rows
     must never leave the pool."""
-    engine = make_engine(topo, mode, persist_tables=False)
+    engine = make_engine(topo, mode)
     g = np.array([[1.81, 1.81, 1.68], [0.4, 0.9, 0.2], [2.6, 2.2, 2.4], [1.0, 1.0, 1.0]])
     p = np.repeat(g / 10000.0, 2, axis=0)
     t = np.array([16000, 9000, 14000, 30000, 12000, 20000, 5000, 16000])
@@ -481,7 +480,7 @@ def test_planned_search_replans_when_late_row_wins(mode, monkeypatch):
 
     dropped = kept = 0
     for topo, g, grid in cases:
-        engine = make_engine(topo, mode, persist_tables=False)
+        engine = make_engine(topo, mode)
         p = np.array([TargetDegreeVector(tuple(g)).probabilities(topo)])
         lockstep = oracles.batched_peak_search(engine, p, t_grid=grid)
         added.clear()
@@ -503,7 +502,7 @@ def test_planned_search_ends_after_dropping_the_last_rows(mode, monkeypatch):
     # and the committed step's last row wins. The re-plan then ends the
     # search and drops every provisional row, which empties the pool.
     topo = full_topology(1, [31])
-    engine = make_engine(topo, mode, persist_tables=False)
+    engine = make_engine(topo, mode)
     p = np.array([TargetDegreeVector((1.0,)).probabilities(topo)])
     grid = default_t_grid(topo)
     left = []  # rows in the pool after each remove()
@@ -523,7 +522,7 @@ def test_planned_search_beats_waiting_for_each_step(topo_m2, monkeypatch):
     # The coop search at the M = 2 Table-1 degrees. The lockstep oracle runs
     # one candidate's steps one after another, each until its slowest row,
     # which is what streaming without planning costs.
-    engine = make_engine(topo_m2, "coop", persist_tables=False)
+    engine = make_engine(topo_m2, "coop")
     p = np.array([TargetDegreeVector((1.81, 1.81, 1.68)).probabilities(topo_m2)])
     grid = default_t_grid(topo_m2)
     calls = []
@@ -543,7 +542,7 @@ def test_planned_search_beats_waiting_for_each_step(topo_m2, monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_out_of_range_w_raises(topo_m2, mode, monkeypatch):
-    engine = make_engine(topo_m2, mode, persist_tables=False)
+    engine = make_engine(topo_m2, mode)
     monkeypatch.setattr(engine, "_w", lambda xa, pa, big_r, rho: np.full_like(xa, 1.5))
     p = np.array([[1.81, 1.81, 1.68]]) / 10000.0
     with pytest.raises(FloatingPointError):

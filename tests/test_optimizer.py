@@ -146,12 +146,16 @@ def test_fast_scaling():
     assert spec.scaled(False) is spec
 
 
-def test_converged_flag_carried(small_spec):
+def test_converged_flag_carried(small_spec, monkeypatch):
     from dataclasses import replace
+    from functools import partial
+
+    from frameless import optimizer
 
     g = (1.7, 1.7, 1.5)
     assert fitness(small_spec, g).converged
-    short = replace(small_spec, max_iter=3)
-    assert not fitness(short, g).converged
-    res = optimize(replace(short, population=4, generations=1), seed=0)
+    short = partial(optimizer.batched_peak_search, max_iter=3)
+    monkeypatch.setattr(optimizer, "batched_peak_search", short)
+    assert not fitness(small_spec, g).converged
+    res = optimize(replace(small_spec, population=4, generations=1), seed=0)
     assert res.summary()["converged"] is False

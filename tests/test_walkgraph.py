@@ -203,7 +203,7 @@ def test_concurrent_writers(tmp_path):
 
 def test_compute_w_trivial_cases():
     topo = full_topology(2, [5, 5, 5])
-    tables = load_or_build_tables(topo, persist=False)
+    tables = load_or_build_tables(topo)
     ones = np.ones(3)
     zeros = np.zeros(3)
     # everyone retrieved/silent: only the all-zero companion pattern has
@@ -301,7 +301,7 @@ def test_pattern_states_mixed_radix():
 
 def test_rc_sum_above_one_rejected():
     topo = full_topology(2, [5, 5, 5])
-    tables = load_or_build_tables(topo, persist=False)
+    tables = load_or_build_tables(topo)
     with pytest.raises(ValueError, match="exceeds 1"):
         compute_w_coop(topo, tables, np.ones(3), np.ones(3) * 0.5, np.ones(3), 0)
 
