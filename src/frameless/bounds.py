@@ -1,23 +1,21 @@
 """Throughput bounds for cooperative retrieval.
 
 The upper bound is M times the single-BS peak. The lower bound runs the
-shared density-evolution loop of `evolution` with its own w kernel: the
-exact retrieval probability is replaced with a quadratic-form lower bound
-on the union of per-BS collision-free retrieval events, computed from the
-event probabilities and their pairwise joints. The resulting PLR
-upper-bounds the exact cooperative PLR at every frame length while needing
-only |S(u_i)|(|S(u_i)|+1)/2 terms per group instead of the 3^(I-1)
-pattern enumeration. `evolution.evolve(..., mode="bound")` gives it at one
-frame length.
+shared density-evolution loop of `evolution` with its own w kernel, where
+the quadratic form p Q^-1 p^t of the per-BS collision-free retrieval
+probabilities p and their pairwise joints Q lower-bounds the exact
+retrieval probability, so the PLR upper-bounds the exact cooperative PLR
+at every frame length, from |S(u_i)|(|S(u_i)|+1)/2 terms per group instead
+of 3^(I-1) patterns. Targets that hear at most 3 BSs share one closed form
+from 2x2 cofactors; the others take a stacked LAPACK solve.
+`evolution.evolve(..., mode="bound")` gives it at one frame length.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
-from .evolution import SINGLE_BS_PEAK, _EngineBase, _padded, _with_ones
+from .evolution import SINGLE_BS_PEAK, _EngineBase, _padded
 from .topology import NetworkTopology
 
 PIVOT_TOL = 1e-14
@@ -46,26 +44,46 @@ def solve_gauss_batched(q: np.ndarray, p: np.ndarray):
     return np.linalg.solve(q, p[:, :, None])[:, :, 0], singular
 
 
+# A 3-entry leading axis listed as entries 0, 1, 2, 0, 1, so that the
+# entries after i in cyclic order are the slices 1:4 and 2:5.
+_WRAP = [0, 1, 2, 0, 1]
+
+
+def _quadratic_form3(p: np.ndarray, d: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """p Q^-1 p^t for stacked symmetric 3x3 systems from 2x2 cofactors, with
+    the screen of `solve_gauss_batched`, the max_j p_j fallback and the
+    clamp of `_union_lower_bound`. p, d and o hold p, the diagonal of Q and
+    its off-diagonal o = (q12, q02, q01) along a leading axis in `_WRAP`
+    order. Padding a smaller system with ones on the diagonal and zeros
+    elsewhere and in p keeps the form, and a padded 2x2 system gets the
+    bits of its own closed form."""
+    oo = o * o
+    a = d[1:4] * d[2:5] - oo[:3]  # diagonal cofactors
+    b = o[1:4] * o[2:5] - d[:3] * o[:3]  # cofactor of each o_i
+    det = d[0] * a[0] + o[2] * b[2] + o[1] * b[1]
+    norms = d[:3] * d[:3] + oo[1:4] + oo[2:5]  # squared row norms
+    singular = np.abs(det) <= PIVOT_TOL * np.sqrt(norms.prod(axis=0))
+    pa = p[:3] * p[:3] * a
+    pb = 2.0 * p[1:4] * p[2:5] * b
+    num = pa[0] + pb[2] + pa[1] + (pa[2] + pb[0] + pb[1])
+    out = np.where(singular, p[:3].max(axis=0), num / np.where(singular, 1.0, det))
+    return np.minimum(np.maximum(out, 0.0), np.minimum(1.0, p[0] + p[1] + p[2]))
+
+
 def _union_lower_bound(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p Q^-1 p^t per stacked system, falling back to max_j p_j when Q is
-    numerically singular. Clamped into [0, min(1, sum_j p_j)]."""
+    """p Q^-1 p^t per stacked symmetric system, falling back to max_j p_j
+    when Q is numerically singular. Clamped into [0, min(1, sum_j p_j)].
+    Systems up to 3x3 are padded to 3x3 and take the closed form."""
     n, m = p.shape
-    fallback = p.max(axis=1)
-    if m == 1:
-        out = p[:, 0]
-    elif m == 2:
-        det = q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
-        num = (
-            p[:, 0] * p[:, 0] * q[:, 1, 1]
-            - 2.0 * p[:, 0] * p[:, 1] * q[:, 0, 1]
-            + p[:, 1] * p[:, 1] * q[:, 0, 0]
-        )
-        singular = np.abs(det) < PIVOT_TOL
-        out = np.where(singular, fallback, num / np.where(singular, 1.0, det))
-    else:
+    if m > 3:
         y, singular = solve_gauss_batched(q, p)
-        out = np.where(singular, fallback, (p * y).sum(axis=1))
-    return np.minimum(np.maximum(out, 0.0), np.minimum(1.0, p.sum(axis=1)))
+        out = np.where(singular, p.max(axis=1), (p * y).sum(axis=1))
+        return np.minimum(np.maximum(out, 0.0), np.minimum(1.0, p.sum(axis=1)))
+    qq = np.tile(np.eye(3), (n, 1, 1))
+    qq[:, :m, :m] = q
+    pp = np.pad(p, ((0, 0), (0, 3 - m)))[:, _WRAP].T
+    off = qq[:, [1, 0, 0], [2, 2, 1]][:, _WRAP].T
+    return _quadratic_form3(pp, qq[:, _WRAP, _WRAP].T, off)
 
 
 class BoundEngine(_EngineBase):
@@ -73,37 +91,48 @@ class BoundEngine(_EngineBase):
 
     def __init__(self, topology: NetworkTopology):
         super().__init__(topology)
-        # Targets grouped by their BS count m. Per class and target, one
-        # member list per Q entry: the companions at each single BS (the
-        # diagonal), then at each BS pair (the upper triangle, row-major).
+        # Per target, one member list per entry of its Q: the companions at
+        # one BS (the diagonal) or at a pair of BSs. Targets that hear at
+        # most 3 BSs share one index in `_quadratic_form3` layout, padded
+        # with the index of an appended column of zeros (`_pad` turns the
+        # padded diagonal into ones). Targets that hear m > 3 BSs keep all
+        # m x m lists, grouped by m, for a stacked solve.
         n_groups = topology.num_groups
-        by_degree: dict[int, list[int]] = {}
+        zero = [n_groups + 1]
+        diag, off, large = [], [], {}
         for i, g in enumerate(topology.groups):
-            by_degree.setdefault(g.degree, []).append(i)
-        self._classes = []
-        for m, targets in sorted(by_degree.items()):
-            lists = []
-            for i in targets:
-                at_bs = [
-                    set(topology.groups_at_bs[j - 1]) - {i}
-                    for j in topology.groups[i].bs_set
-                ]
-                joins = [at_bs[j1] | at_bs[j2] for j1, j2 in combinations(range(m), 2)]
-                lists += [sorted(s) for s in at_bs + joins]
-            idx = _padded(lists, n_groups)
-            idx = idx.reshape(len(targets), len(lists) // len(targets), idx.shape[1])
-            # Q entry (j1, j2) -> its list: j on the diagonal, else the pair.
-            slot = np.diag(np.arange(m))
-            upper = np.triu_indices(m, 1)
-            slot[upper] = slot.T[upper] = m + np.arange(len(upper[0]))
-            self._classes.append((m, np.array(targets, dtype=np.intp), idx, slot))
+            at_bs = [set(topology.groups_at_bs[j - 1]) - {i} for j in g.bs_set]
+            m = len(at_bs)
+            if m > 3:
+                targets, rows = large.setdefault(m, ([], []))
+                targets.append(i)
+                rows += [sorted(a | b) for a in at_bs for b in at_bs]
+                at_bs, m = [], 0
+            diag.append([sorted(a) for a in at_bs] + [zero] * (3 - m))
+            off.append([
+                sorted(at_bs[j] | at_bs[k]) if k < m else zero
+                for j, k in ((1, 2), (0, 2), (0, 1))
+            ])
+        # (member, entry in `_WRAP` order with the diagonal first, target).
+        rows = [row[j] for part in (diag, off) for j in _WRAP for row in part]
+        self._idx = _padded(rows, n_groups).T.reshape(-1, 10, n_groups)
+        self._pad = (self._idx[0, :5, :, None] == zero[0]).astype(float)
+        self._large = [
+            (m, np.array(t), _padded(rows, n_groups).reshape(len(t), m * m, -1))
+            for m, (t, rows) in sorted(large.items())
+        ]
 
     def _w(self, xa, pa, big_r, rho):
-        ext = _with_ones(big_r)
-        wa = np.empty_like(xa)
-        for m, targets, idx, slot in self._classes:
-            terms = rho[:, targets, None] * np.multiply.reduce(ext[:, idx], axis=-1)
-            p = terms[:, :, :m].reshape(-1, m)
-            q = terms[:, :, slot].reshape(-1, m, m)
-            wa[:, targets] = 1.0 - _union_lower_bound(p, q).reshape(len(xa), -1)
-        return wa
+        # Rows on the last axis; ext appends a column of ones and of zeros.
+        ext = np.empty((big_r.shape[1] + 2, len(big_r)))
+        ext[:-2] = big_r.T
+        ext[-2:] = [[1.0], [0.0]]
+        terms = rho.T * np.multiply.reduce(ext[self._idx], axis=0)
+        p = terms[:5]
+        w = (1.0 - _quadratic_form3(p, p + self._pad, terms[5:])).T
+        for m, targets, idx in self._large:
+            q = rho[:, targets, None] * np.multiply.reduce(ext.T[:, idx], axis=-1)
+            q = q.reshape(-1, m, m)
+            bound = _union_lower_bound(q.diagonal(axis1=1, axis2=2), q)
+            w[:, targets] = 1.0 - bound.reshape(len(xa), -1)
+        return w

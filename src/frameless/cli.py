@@ -24,6 +24,7 @@ from .bounds import upper_bound_throughput
 from .evolution import (
     FAST_GROUP_LIMIT,
     GuardError,
+    default_t_grid,
     evolve,
     make_engine,
     peak_search,
@@ -89,21 +90,21 @@ def _degrees_from(doc: dict, topology: NetworkTopology, key="degrees"):
     return tuple(float(v) for v in g)
 
 
-def _t_values(doc: dict, topology: NetworkTopology):
+def _t_values(doc: dict, topology: NetworkTopology, points: int) -> list[int]:
+    """The first frame lengths of a peak search: the config's t_values or
+    t_grid, else the default grid of `points` (below 1: none) points."""
     if "t_values" in doc:
-        return [int(t) for t in doc["t_values"]]
-    if "t_grid" in doc:
+        t_vals = [int(t) for t in doc["t_values"]]
+    elif "t_grid" in doc:
         spec = doc["t_grid"]
-        return list(
-            np.unique(
-                np.linspace(
-                    int(spec["start"]), int(spec["stop"]), int(spec.get("num", 41))
-                )
-                .round()
-                .astype(int)
-            )
-        )
-    return None
+        num = max(0, int(spec.get("num", 41)))
+        t_vals = np.linspace(int(spec["start"]), int(spec["stop"]), num)
+        t_vals = np.unique(t_vals.round().astype(int)).tolist()
+    else:
+        t_vals = default_t_grid(topology, max(0, points)).tolist()
+    if not t_vals or min(t_vals) < 1:
+        raise ConfigError("the T grid needs at least one T, and every T >= 1")
+    return t_vals
 
 
 def _meta_lines(doc: dict, args, extra=None) -> list[str]:
@@ -147,7 +148,10 @@ def cmd_analyze(args) -> int:
     doc = _load_config(args.config)
     topology = _topology_from(doc)
     mode = args.mode or doc.get("mode", "coop")
+    if args.trace and mode != "coop":
+        raise ConfigError("--trace requires cooperative mode")
     degrees = _degrees_from(doc, topology)
+    t_vals = _t_values(doc, topology, args.grid_points)
     out_dir = Path(args.out)
     engine = make_engine(
         topology,
@@ -156,10 +160,7 @@ def cmd_analyze(args) -> int:
         workers=args.workers,
         allow_long=args.allow_long_running,
     )
-    t_vals = _t_values(doc, topology)
-    peak = peak_search(
-        topology, degrees, mode, engine=engine, t_grid=t_vals, points=args.grid_points
-    )
+    peak = peak_search(topology, degrees, mode, engine=engine, t_grid=t_vals)
     curve = peak.curve
     _write(
         out_dir / "curve.csv",
@@ -176,21 +177,15 @@ def cmd_analyze(args) -> int:
     }
     _emit_json(out_dir / "peak.json", doc, payload, args)
     if args.trace:
-        if mode != "coop":
-            raise ConfigError("--trace requires cooperative mode")
         trace_t = int(doc.get("trace_t", peak.t_star))
         res = evolve(topology, degrees, trace_t, engine=engine, trace=True)
         n_groups = topology.num_groups
         header = "iteration," + ",".join(
-            [f"p_r0_g{i+1}" for i in range(n_groups)]
-            + [f"p_r1_g{i+1}" for i in range(n_groups)]
+            f"p_r{r}_g{i + 1}" for r in (0, 1) for i in range(n_groups)
         )
         rows = [
-            f"{k + 1},"
-            + ",".join(repr(float(v)) for v in res.trace_r0[k])
-            + ","
-            + ",".join(repr(float(v)) for v in res.trace_r1[k])
-            for k in range(res.iterations)
+            ",".join([str(k + 1)] + [repr(float(v)) for v in (*r0, *r1)])
+            for k, (r0, r1) in enumerate(zip(res.trace_r0, res.trace_r1))
         ]
         _write(
             out_dir / "trace.csv",

@@ -10,11 +10,11 @@ peels. The non-cooperative kernel runs one chain per (group, BS) pair and
 combines per-BS failures with a product approximation; the matrix
 lower-bound kernel lives in `bounds`.
 
-The collision-free part of the cooperative sum (initial singleton at some
-BS) has an exact inclusion-exclusion closed form over the target's BS
-subsets; the cooperative-rescue remainder is evaluated on the compressed
-pattern DAG. Each kernel covers all targets at once (padded gathers, one
-levelized DAG holding every target), and all engines evaluate batches of
+The cooperative sum splits into the collision-free part P^(r0) (initial
+singleton at some BS) and the cooperative rescue P^(r1); both come from
+one pass over a compressed pattern DAG that holds every target's
+singleton and rescue tables. Each kernel covers all targets at once
+(padded gathers, one levelized DAG), and all engines evaluate batches of
 (transmission-probability vector, T) rows at once, which is what makes
 the optimizer affordable.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 
@@ -224,10 +223,7 @@ class _EngineBase:
         # not depend on its place in the batch.
         plr_avg = (pe * (self.counts / self.total_users)).sum(axis=1)
         throughput = ((1.0 - pe) * self.counts).sum(axis=1) / t
-        trace_r0 = trace_r1 = None
-        if trace is not None and trace:
-            trace_r0 = np.array([a for a, _ in trace])
-            trace_r1 = np.array([b for _, b in trace])
+        trace_r0, trace_r1 = map(np.array, zip(*trace)) if trace else (None, None)
         return BatchEvolution(
             t=t,
             w=w,
@@ -269,47 +265,21 @@ class CoopEngine(_EngineBase):
                 f"3^{n_groups - 1} patterns per target; pass allow_long=True"
             )
         self.tables = load_or_build_tables(topology, cache_dir, workers)
-        # One levelized rescue DAG over all targets.
-        self.dag = PatternDag(
-            np.array([self.tables[i].rescue for i in range(n_groups)]),
-            [companion_order(n_groups, i) for i in range(n_groups)],
-        )
-        # Inclusion-exclusion terms for the initial-singleton probability:
-        # per target and term, the sign and the companions at the union of a
-        # BS subset. Terms and members are padded with sign 0 and with the
-        # index of an appended column of ones.
-        terms = []
-        for i, g in enumerate(topology.groups):
-            row = []
-            for size in range(1, g.degree + 1):
-                for subset in combinations(g.bs_set, size):
-                    members = set()
-                    for j in subset:
-                        members.update(topology.groups_at_bs[j - 1])
-                    members.discard(i)
-                    row.append(((-1.0) ** (size + 1), sorted(members)))
-            terms.append(row)
-        n_terms = max(len(row) for row in terms)
-        terms = [row + [(0.0, [])] * (n_terms - len(row)) for row in terms]
-        self._r0_sign = np.array([[sign for sign, _ in row] for row in terms])
-        idx = _padded([members for row in terms for _, members in row], n_groups)
-        self._r0_idx = idx.reshape(n_groups, n_terms, idx.shape[1])
+        # One levelized DAG over all targets: every target's collision-free
+        # (singleton) table, then every target's rescue table.
+        masks = [self.tables[i].singleton for i in range(n_groups)]
+        masks += [self.tables[i].rescue for i in range(n_groups)]
+        comps = [companion_order(n_groups, i) for i in range(n_groups)]
+        self.dag = PatternDag(np.array(masks), comps + comps)
 
-    def _p_r0(self, big_r: np.ndarray) -> np.ndarray:
-        terms = _with_ones(big_r)[:, self._r0_idx].prod(axis=-1) * self._r0_sign
-        acc = terms[:, :, 0]
-        for k in range(1, terms.shape[2]):
-            acc = acc + terms[:, :, k]
-        return acc
-
-    def _p_r1(self, big_r: np.ndarray, big_c: np.ndarray) -> np.ndarray:
+    def _p_r(self, big_r: np.ndarray, big_c: np.ndarray):
+        """(P^(r0), P^(r1)) per row and target from one pass over the DAG."""
         v = np.array([big_r.T, big_c.T, (1.0 - big_r - big_c).T])
-        return self.dag.evaluate(v).T
+        return np.split(self.dag.evaluate(v).T, 2, axis=1)
 
     def _w(self, xa, pa, big_r, rho, trace=None):
         big_c = xa * self.counts * pa * rho
-        p0 = self._p_r0(big_r)
-        p1 = self._p_r1(big_r, big_c)
+        p0, p1 = self._p_r(big_r, big_c)
         if trace is not None:
             trace.append((rho[0] * p0[0], rho[0] * p1[0]))
         return 1.0 - rho * (p0 + p1)
@@ -410,8 +380,9 @@ def evolve(
     if trace and mode != "coop":
         raise ValueError("trace recording needs the cooperative mode")
     engine = engine or make_engine(topology, mode, **engine_kw)
-    kw = {"want_trace": True} if trace else {}
-    out = engine.evaluate_degrees(degrees, [t_slots], max_iter=max_iter, tol=tol, **kw)
+    out = engine.evaluate_degrees(
+        degrees, [t_slots], max_iter=max_iter, tol=tol, want_trace=trace
+    )
     return EvolutionResult(
         t=t_slots,
         plr=out.plr_groups[0],
@@ -573,8 +544,8 @@ def batched_peak_search(
     are independent of how candidates are batched together.
     """
     p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
-    if t_grid is None:
-        raise ValueError("t_grid is required")
+    if t_grid is None or len(t_grid) == 0:
+        raise ValueError("empty t_grid: the peak search needs a frame length")
     n = len(p_mat)
     pool = _RowPool(engine, max_iter, tol)
     seen: list[dict[int, tuple]] = [{} for _ in p_mat]

@@ -273,11 +273,11 @@ class PatternDag:
         self._single = masks.ndim == 1
         if self._single:
             masks, companions = masks[None], [tuple(companions)]
-        comps = np.array(companions, dtype=np.intp).reshape(len(masks), -1)
+        comps = np.array(companions, dtype=np.int32).reshape(len(masks), -1)
         k = comps.shape[1]
         if masks.shape[1] != 3**k:
             raise ValueError("mask length must be 3^K")
-        ids = masks.astype(np.intp)
+        ids = masks.astype(np.int32)  # node ids while building; levels use intp
         self.children: list[np.ndarray] = []
         self.groups: list[np.ndarray] = []
         # Level l consumes the (l+1)-th last companion digit of every root.
@@ -286,9 +286,9 @@ class PatternDag:
             grp = np.broadcast_to(comps[:, pos, None, None], triples.shape[:2] + (1,))
             keys = np.concatenate([grp, triples], axis=2).reshape(-1, 4)
             uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-            self.groups.append(uniq[:, 0])
-            self.children.append(np.ascontiguousarray(uniq[:, 1:].T))
-            ids = inverse.reshape(len(masks), -1)
+            self.groups.append(uniq[:, 0].astype(np.intp))
+            self.children.append(np.ascontiguousarray(uniq[:, 1:].T, dtype=np.intp))
+            ids = inverse.reshape(len(masks), -1).astype(np.int32)
         self.roots = ids[:, 0]
         self.num_nodes = sum(len(g) for g in self.groups)
 
@@ -298,8 +298,8 @@ class PatternDag:
         vals = np.zeros((2,) + v.shape[2:])
         vals[1] = 1.0
         for children, grp in zip(self.children, self.groups):
-            terms = vals[children]
-            terms *= v[:, grp]
+            terms = np.take(vals, children, axis=0)
+            terms *= np.take(v, grp, axis=1)
             vals = terms[0] + terms[1] + terms[2]
         out = vals[self.roots]
         if self._single:

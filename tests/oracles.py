@@ -10,8 +10,9 @@ known to be binomial also carry (n, p) so evaluation can use the exact
 closed form (1-p+p*x)^n, which is what the engines use directly.
 
 Walk-graph pattern sums: the direct 3^(I-1) enumeration of the pattern
-probabilities that the engines evaluate through the compressed DAG and the
-inclusion-exclusion closed form.
+probabilities that the cooperative engine evaluates, collision-free
+(P^(r0)) and rescue (P^(r1)) sums alike, in one pass over the compressed
+DAG.
 
 Closed-form w expressions for the three-BS full topology: transcriptions
 of the hand-derived collision-resolution formulas for a network with all

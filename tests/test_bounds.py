@@ -136,7 +136,16 @@ def test_fused_bound_kernel_matches_direct_solve():
     singular = NetworkTopology(
         num_bs=3, groups=(GroupSpec(0b111, 4), GroupSpec(0b011, 3))
     )
-    for topo in edge_topologies() + [singular] + [random_topology(rng) for _ in range(15)]:
+    # Targets that hear 4 BSs take the stacked solve; the others, the
+    # singular one included, take the 3x3 closed form.
+    topologies = (
+        edge_topologies()
+        + [singular, full_topology(4, [3] * 15)]
+        + [random_topology(rng) for _ in range(15)]
+        + [random_topology(rng, max_bs=4) for _ in range(15)]
+    )
+    assert any(g.degree == 4 for topo in topologies for g in topo.groups)
+    for topo in topologies:
         n = topo.num_groups
         big_r = rng.uniform(0.05, 1.0, size=(3, n))
         rho = rng.uniform(0.05, 1.0, size=(3, n))

@@ -68,6 +68,31 @@ def test_analyze_trace(tmp_path):
     assert len(lines) > 2
 
 
+def test_analyze_trace_in_a_noncoop_mode_fails_before_any_output(tmp_path):
+    out = tmp_path / "out"
+    args = ["analyze", "--config", CONFIGS / "table1_m2.json", "--mode", "bound"]
+    assert run(args + ["--trace", "--out", out]) == EXIT_CONFIG
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        ({}, ["--grid-points", "0"]),
+        ({}, ["--grid-points", "-3"]),
+        ({"t_values": []}, []),
+        ({"t_values": [0, 5]}, []),
+    ],
+    ids=["grid-points-0", "grid-points-negative", "t-values-empty", "t-values-zero"],
+)
+def test_empty_or_nonpositive_t_grid_is_a_config_error(tmp_path, capsys, extra, flags):
+    cfg = small_m1_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    assert run(["analyze", "--config", cfg, "--out", out, *flags]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_noncoop_mode(tmp_path):
     cfg = small_m1_config(tmp_path)
     out = tmp_path / "out"

@@ -233,8 +233,7 @@ def test_engine_p_r0_p_r1_match_pattern_sums(topo_m3):
     rng = np.random.default_rng(5)
     big_r = rng.random((1, 7))
     big_c = rng.random((1, 7)) * (1 - big_r)
-    p0 = engine._p_r0(big_r)
-    p1 = engine._p_r1(big_r, big_c)
+    p0, p1 = engine._p_r(big_r, big_c)
     for gi in range(7):
         table = engine.tables[gi]
         ref0 = pattern_mass(topo_m3, gi, big_r[0], big_c[0], mask=table.singleton)
@@ -250,8 +249,7 @@ def test_fused_coop_kernel_matches_pattern_sums():
         n = topo.num_groups
         big_r = rng.random((3, n))
         big_c = rng.random((3, n)) * (1 - big_r)
-        p0 = engine._p_r0(big_r)
-        p1 = engine._p_r1(big_r, big_c)
+        p0, p1 = engine._p_r(big_r, big_c)
         assert p0.shape == p1.shape == (3, n)
         for b in range(3):
             for gi in range(n):
@@ -315,6 +313,13 @@ def test_peak_search_extends_grid(topo_m1):
 def test_empty_t_range_rejected(topo_m1):
     with pytest.raises(ValueError):
         plr_curve(topo_m1, (3.10,), [], mode="coop")
+
+
+@pytest.mark.parametrize("t_grid", [[], np.array([], dtype=np.int64)])
+def test_empty_t_grid_rejected(topo_m1, t_grid):
+    engine = make_engine(topo_m1, "noncoop")
+    with pytest.raises(ValueError, match="empty t_grid"):
+        batched_peak_search(engine, np.full((1, 1), 3.10 / 10000), t_grid=t_grid)
 
 
 @pytest.mark.parametrize("mode", MODES)
