@@ -51,12 +51,10 @@ _WRAP = [0, 1, 2, 0, 1]
 
 def _quadratic_form3(p: np.ndarray, d: np.ndarray, o: np.ndarray) -> np.ndarray:
     """p Q^-1 p^t for stacked symmetric 3x3 systems from 2x2 cofactors, with
-    the screen of `solve_gauss_batched`, the max_j p_j fallback and the
-    clamp of `_union_lower_bound`. p, d and o hold p, the diagonal of Q and
-    its off-diagonal o = (q12, q02, q01) along a leading axis in `_WRAP`
-    order. Padding a smaller system with ones on the diagonal and zeros
-    elsewhere and in p keeps the form, and a padded 2x2 system gets the
-    bits of its own closed form."""
+    the screen, fallback and clamp of `_union_lower_bound`. p, d and o hold
+    p, diag(Q) and o = (q12, q02, q01) along a leading axis in `_WRAP` order.
+    Padding a smaller system with diagonal 1, off-diagonal 0 and p 0 keeps
+    the form (and a padded 2x2 system the bits of its own closed form)."""
     oo = o * o
     a = d[1:4] * d[2:5] - oo[:3]  # diagonal cofactors
     b = o[1:4] * o[2:5] - d[:3] * o[:3]  # cofactor of each o_i
@@ -71,19 +69,11 @@ def _quadratic_form3(p: np.ndarray, d: np.ndarray, o: np.ndarray) -> np.ndarray:
 
 
 def _union_lower_bound(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p Q^-1 p^t per stacked symmetric system, falling back to max_j p_j
-    when Q is numerically singular. Clamped into [0, min(1, sum_j p_j)].
-    Systems up to 3x3 are padded to 3x3 and take the closed form."""
-    n, m = p.shape
-    if m > 3:
-        y, singular = solve_gauss_batched(q, p)
-        out = np.where(singular, p.max(axis=1), (p * y).sum(axis=1))
-        return np.minimum(np.maximum(out, 0.0), np.minimum(1.0, p.sum(axis=1)))
-    qq = np.tile(np.eye(3), (n, 1, 1))
-    qq[:, :m, :m] = q
-    pp = np.pad(p, ((0, 0), (0, 3 - m)))[:, _WRAP].T
-    off = qq[:, [1, 0, 0], [2, 2, 1]][:, _WRAP].T
-    return _quadratic_form3(pp, qq[:, _WRAP, _WRAP].T, off)
+    """p Q^-1 p^t per stacked symmetric system of any size by LAPACK, max_j p_j
+    where Q is numerically singular, clamped into [0, min(1, sum_j p_j)]."""
+    y, singular = solve_gauss_batched(q, p)
+    out = np.where(singular, p.max(axis=1), (p * y).sum(axis=1))
+    return np.minimum(np.maximum(out, 0.0), np.minimum(1.0, p.sum(axis=1)))
 
 
 class BoundEngine(_EngineBase):
@@ -91,12 +81,11 @@ class BoundEngine(_EngineBase):
 
     def __init__(self, topology: NetworkTopology):
         super().__init__(topology)
-        # Per target, one member list per entry of its Q: the companions at
-        # one BS (the diagonal) or at a pair of BSs. Targets that hear at
-        # most 3 BSs share one index in `_quadratic_form3` layout, padded
-        # with the index of an appended column of zeros (`_pad` turns the
-        # padded diagonal into ones). Targets that hear m > 3 BSs keep all
-        # m x m lists, grouped by m, for a stacked solve.
+        # Per target, the companions at one BS (diagonal of Q) or at a pair
+        # of BSs. Targets that hear at most 3 BSs share one index in
+        # `_quadratic_form3` layout, padded with an appended zeros column
+        # (`_pad` makes the padded diagonal 1); targets that hear m > 3 BSs
+        # keep their m x m lists, grouped by m, for a stacked solve.
         n_groups = topology.num_groups
         zero = [n_groups + 1]
         diag, off, large = [], [], {}
@@ -109,10 +98,8 @@ class BoundEngine(_EngineBase):
                 rows += [sorted(a | b) for a in at_bs for b in at_bs]
                 at_bs, m = [], 0
             diag.append([sorted(a) for a in at_bs] + [zero] * (3 - m))
-            off.append([
-                sorted(at_bs[j] | at_bs[k]) if k < m else zero
-                for j, k in ((1, 2), (0, 2), (0, 1))
-            ])
+            off.append([sorted(at_bs[j] | at_bs[k]) if k < m else zero
+                        for j, k in ((1, 2), (0, 2), (0, 1))])
         # (member, entry in `_WRAP` order with the diagonal first, target).
         rows = [row[j] for part in (diag, off) for j in _WRAP for row in part]
         self._idx = _padded(rows, n_groups).T.reshape(-1, 10, n_groups)

@@ -24,7 +24,6 @@ from .bounds import upper_bound_throughput
 from .evolution import (
     FAST_GROUP_LIMIT,
     GuardError,
-    default_t_grid,
     evolve,
     make_engine,
     peak_search,
@@ -90,9 +89,9 @@ def _degrees_from(doc: dict, topology: NetworkTopology, key="degrees"):
     return tuple(float(v) for v in g)
 
 
-def _t_values(doc: dict, topology: NetworkTopology, points: int) -> list[int]:
+def _t_values(doc: dict, points: int):
     """The first frame lengths of a peak search: the config's t_values or
-    t_grid, else the default grid of `points` (below 1: none) points."""
+    t_grid, else None for peak_search's default grid of `points` points."""
     if "t_values" in doc:
         t_vals = [int(t) for t in doc["t_values"]]
     elif "t_grid" in doc:
@@ -100,8 +99,10 @@ def _t_values(doc: dict, topology: NetworkTopology, points: int) -> list[int]:
         num = max(0, int(spec.get("num", 41)))
         t_vals = np.linspace(int(spec["start"]), int(spec["stop"]), num)
         t_vals = np.unique(t_vals.round().astype(int)).tolist()
+    elif points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {points}")
     else:
-        t_vals = default_t_grid(topology, max(0, points)).tolist()
+        return None
     if not t_vals or min(t_vals) < 1:
         raise ConfigError("the T grid needs at least one T, and every T >= 1")
     return t_vals
@@ -151,7 +152,7 @@ def cmd_analyze(args) -> int:
     if args.trace and mode != "coop":
         raise ConfigError("--trace requires cooperative mode")
     degrees = _degrees_from(doc, topology)
-    t_vals = _t_values(doc, topology, args.grid_points)
+    t_vals = _t_values(doc, args.grid_points)
     out_dir = Path(args.out)
     engine = make_engine(
         topology,
@@ -160,7 +161,9 @@ def cmd_analyze(args) -> int:
         workers=args.workers,
         allow_long=args.allow_long_running,
     )
-    peak = peak_search(topology, degrees, mode, engine=engine, t_grid=t_vals)
+    peak = peak_search(
+        topology, degrees, mode, engine=engine, t_grid=t_vals, points=args.grid_points
+    )
     curve = peak.curve
     _write(
         out_dir / "curve.csv",

@@ -60,10 +60,10 @@ def _check_unit(name: str, arr: np.ndarray):
 
 
 def _padded(lists, fill: int) -> np.ndarray:
-    """Index lists as one (len(lists), longest) array, each row padded at
-    its end with fill. Kernels pad with the index of the ones column that
-    `_with_ones` appends, so a padded factor multiplies by exactly 1."""
-    out = np.full((len(lists), max(map(len, lists))), fill, dtype=np.intp)
+    """Index lists as one (len(lists), max(1, longest)) array, each row
+    padded at its end with fill. Kernels pad with the index of the ones
+    column that `_with_ones` appends, so a padded factor multiplies by 1."""
+    out = np.full((len(lists), max(1, *map(len, lists))), fill, dtype=np.intp)
     for r, row in enumerate(lists):
         out[r, : len(row)] = row
     return out

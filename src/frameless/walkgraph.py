@@ -252,6 +252,17 @@ def load_or_build_tables(
     return out
 
 
+def _ranks(keys: np.ndarray, size: int):
+    """np.unique(keys, return_inverse=True) for int64 keys in [0, size); a
+    range no larger than the keys is ranked by a dense table, not a sort."""
+    if size > keys.size:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        return uniq, inverse.reshape(keys.shape)
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
 class PatternDag:
     """Quasi-reduced ternary decision DAG over pattern subsets, levelized.
 
@@ -273,23 +284,27 @@ class PatternDag:
         self._single = masks.ndim == 1
         if self._single:
             masks, companions = masks[None], [tuple(companions)]
-        comps = np.array(companions, dtype=np.int32).reshape(len(masks), -1)
+        comps = np.array(companions, dtype=np.int64).reshape(len(masks), -1)
         k = comps.shape[1]
         if masks.shape[1] != 3**k:
             raise ValueError("mask length must be 3^K")
-        ids = masks.astype(np.int32)  # node ids while building; levels use intp
-        self.children: list[np.ndarray] = []
-        self.groups: list[np.ndarray] = []
+        ids, n = masks, 2  # node ids one level down; the leaves are 0 and 1
+        self.children, self.groups = [], []
         # Level l consumes the (l+1)-th last companion digit of every root.
+        # Its nodes are the distinct keys (group, child 0, child 1, child 2),
+        # ranked as int64 in lexicographic order, (child 0, child 1) first so
+        # that no key exceeds groups times the squared triple count.
         for pos in range(k - 1, -1, -1):
-            triples = ids.reshape(len(masks), -1, 3)
-            grp = np.broadcast_to(comps[:, pos, None, None], triples.shape[:2] + (1,))
-            keys = np.concatenate([grp, triples], axis=2).reshape(-1, 4)
-            uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-            self.groups.append(uniq[:, 0].astype(np.intp))
-            self.children.append(np.ascontiguousarray(uniq[:, 1:].T, dtype=np.intp))
-            ids = inverse.reshape(len(masks), -1).astype(np.int32)
-        self.roots = ids[:, 0]
+            c = ids.reshape(len(masks), -1, 3)
+            pairs, pair = _ranks(c[..., 0] * np.int64(n) + c[..., 1], n * n)
+            size = len(pairs) * n
+            key = (comps[:, pos, None] * len(pairs) + pair) * n + c[..., 2]
+            uniq, inverse = _ranks(key, (comps.max() + 1) * size)
+            self.groups.append(uniq // size)
+            pair, last = np.divmod(uniq % size, n)
+            self.children.append(np.array([*np.divmod(pairs[pair], n), last]))
+            ids, n = inverse.astype(np.int32), len(uniq)
+        self.roots = ids[:, 0].astype(np.intp)
         self.num_nodes = sum(len(g) for g in self.groups)
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameless.bounds import (
+    _WRAP,
     BoundEngine,
+    _quadratic_form3,
+    _union_lower_bound,
     solve_gauss_batched,
     upper_bound_throughput,
 )
@@ -33,16 +36,20 @@ def test_single_bs_bound_is_exact(topo_m1):
 
 
 def test_two_by_two_matches_hand_inverse():
-    # symmetric system: p (a, a), joint b -> bound = 2a^2/(a+b)
+    # symmetric system: p (a, a), joint b -> bound = 2a^2/(a+b). In the full
+    # 2-BS network the group heard by both BSs has one companion at each, so
+    # rho = a^2/b and R = b/a give it this system in the closed form.
     engine = BoundEngine(full_topology(2, [10, 10, 10]))
-    from frameless.bounds import _union_lower_bound
-
     a, b = 0.3, 0.2
+    big_r = np.array([[b / a, b / a, 1.0]])
+    rho = np.full((1, 3), a * a / b)
+    closed = 1.0 - engine._w(np.ones_like(big_r), None, big_r, rho)[0, 2]
     p = np.array([[a, a]])
     q = np.array([[[a, b], [b, a]]])
     hand = (a * a * a - 2 * a * a * b + a * a * a) / (a * a - b * b)
-    assert _union_lower_bound(p, q)[0] == pytest.approx(hand, rel=1e-12)
-    assert _union_lower_bound(p, q)[0] == pytest.approx(2 * a * a / (a + b), rel=1e-12)
+    for bound in (closed, _union_lower_bound(p, q)[0]):
+        assert bound == pytest.approx(hand, rel=1e-12)
+        assert bound == pytest.approx(2 * a * a / (a + b), rel=1e-12)
 
 
 def test_gauss_solver_matches_numpy():
@@ -65,12 +72,13 @@ def test_gauss_solver_flags_singular():
 
 
 def test_singular_falls_back_to_max():
-    from frameless.bounds import _union_lower_bound
-
     p = np.array([[0.4, 0.3, 0.2]])
     q = np.ones((1, 3, 3)) * 0.2  # rank-1, singular
-    out = _union_lower_bound(p, q)
-    assert out[0] == pytest.approx(0.4)
+    # The closed form takes p, diag(Q) and (q12, q02, q01) in _WRAP order.
+    off = q[:, [1, 0, 0], [2, 2, 1]]
+    closed = _quadratic_form3(p[:, _WRAP].T, q[:, _WRAP, _WRAP].T, off[:, _WRAP].T)
+    for out in (closed, _union_lower_bound(p, q)):
+        assert out[0] == pytest.approx(0.4)
 
 
 def test_bound_plr_dominates_exact(topo_m2):
@@ -129,6 +137,15 @@ def direct_bound_w(topo, big_r, rho):
     return w
 
 
+def assert_fused_bound_kernel_matches(topologies, rng):
+    for topo in topologies:
+        n = topo.num_groups
+        big_r = rng.uniform(0.05, 1.0, size=(3, n))
+        rho = rng.uniform(0.05, 1.0, size=(3, n))
+        w = BoundEngine(topo)._w(np.ones_like(big_r), None, big_r, rho)
+        assert np.allclose(w, direct_bound_w(topo, big_r, rho), rtol=0.0, atol=1e-12)
+
+
 def test_fused_bound_kernel_matches_direct_solve():
     rng = np.random.default_rng(13)
     # The 3-BS target's only companion is heard at BSs 1 and 2 alike, so
@@ -136,18 +153,16 @@ def test_fused_bound_kernel_matches_direct_solve():
     singular = NetworkTopology(
         num_bs=3, groups=(GroupSpec(0b111, 4), GroupSpec(0b011, 3))
     )
-    # Targets that hear 4 BSs take the stacked solve; the others, the
-    # singular one included, take the 3x3 closed form.
-    topologies = (
-        edge_topologies()
-        + [singular, full_topology(4, [3] * 15)]
-        + [random_topology(rng) for _ in range(15)]
-        + [random_topology(rng, max_bs=4) for _ in range(15)]
+    assert_fused_bound_kernel_matches(
+        edge_topologies() + [singular] + [random_topology(rng) for _ in range(15)], rng
     )
+    # Targets that hear 4 BSs take the stacked solve, the others the 3x3
+    # closed form; a lone group heard by 3 or 4 BSs has no companions.
+    rng = np.random.default_rng(14)
+    topologies = [
+        NetworkTopology(num_bs=3, groups=(GroupSpec(0b111, 5),)),
+        NetworkTopology(num_bs=4, groups=(GroupSpec(0b1111, 5),)),
+        full_topology(4, [3] * 15),
+    ] + [random_topology(rng, max_bs=4) for _ in range(15)]
     assert any(g.degree == 4 for topo in topologies for g in topo.groups)
-    for topo in topologies:
-        n = topo.num_groups
-        big_r = rng.uniform(0.05, 1.0, size=(3, n))
-        rho = rng.uniform(0.05, 1.0, size=(3, n))
-        w = BoundEngine(topo)._w(np.ones_like(big_r), None, big_r, rho)
-        assert np.allclose(w, direct_bound_w(topo, big_r, rho), rtol=0.0, atol=1e-12)
+    assert_fused_bound_kernel_matches(topologies, rng)

@@ -309,3 +309,20 @@ def test_rc_sum_above_one_rejected():
 def test_table_validates_length():
     with pytest.raises(ValueError):
         RetrievabilityTable(0, 3, np.zeros(5, bool), np.zeros(5, bool))
+
+
+def test_dag_matches_direct_sum_on_random_masks():
+    # Unstructured masks share few subtrees, so the DAG build ranks wide
+    # levels, some through its dense table and some through a sort.
+    rng = np.random.default_rng(11)
+    v = rng.random((3, 8, 2))
+    for k in range(1, 7):
+        comps = [tuple(rng.permutation(8)[:k]) for _ in range(5)]
+        masks = rng.random((5, 3**k)) < rng.random((5, 1))
+        digits = np.unravel_index(np.arange(3**k), (3,) * k)
+        fused = PatternDag(masks, comps).evaluate(v)
+        for mask, comp, got in zip(masks, comps, fused):
+            terms = np.ones((3**k, 2))
+            for d, g in zip(digits, comp):
+                terms *= v[d, g]
+            assert got == pytest.approx(mask @ terms, abs=1e-12)
