@@ -26,10 +26,8 @@ from .evolution import (
     PlrCurve,
     PeakResult,
     default_t_grid,
-    diversity_gain,
     evolve,
     peak_search,
-    plr_curve,
 )
 from .bounds import upper_bound_throughput
 from .simulator import (

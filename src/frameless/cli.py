@@ -1,7 +1,7 @@
-"""Command-line surface: analyze, simulate, optimize, bounds, compare, repro.
+"""Command-line surface: analyze, simulate, optimize, bounds, compare.
 
-Every command but repro reads a JSON config, writes CSV (canonical) plus a
-JSON mirror into --out, and embeds the config hash, tool version, and seed in
+Every command reads a JSON config, writes CSV (canonical) plus a JSON
+mirror into --out, and embeds the config hash, tool version, and seed in
 each output so identical configs reproduce identical primary columns.
 
 Exit codes: 0 success, 2 config error, 3 guard refusal (pattern space too
@@ -33,10 +33,10 @@ from .optimizer import OptimizationSpec, optimize
 from .simulator import RNG_ID, SimulationSpec, monte_carlo
 from .topology import (
     NetworkTopology,
+    TargetDegreeVector,
     TopologyError,
     full_topology,
     load_topology,
-    serialize_topology,
 )
 
 EXIT_OK = 0
@@ -86,7 +86,10 @@ def _degrees_from(doc: dict, topology: NetworkTopology, key="degrees"):
         raise ConfigError(
             f"'{key}' must list one target degree per group ({topology.num_groups})"
         )
-    return tuple(float(v) for v in g)
+    try:
+        return tuple(float(v) for v in g)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"'{key}' must list numbers: {e}") from e
 
 
 def _t_values(doc: dict, points: int):
@@ -96,6 +99,8 @@ def _t_values(doc: dict, points: int):
         t_vals = [int(t) for t in doc["t_values"]]
     elif "t_grid" in doc:
         spec = doc["t_grid"]
+        if "start" not in spec or "stop" not in spec:
+            raise ConfigError("'t_grid' needs 'start' and 'stop'")
         num = max(0, int(spec.get("num", 41)))
         t_vals = np.linspace(int(spec["start"]), int(spec["stop"]), num)
         t_vals = np.unique(t_vals.round().astype(int)).tolist()
@@ -108,14 +113,16 @@ def _t_values(doc: dict, points: int):
     return t_vals
 
 
-def _meta_lines(doc: dict, args, extra=None) -> list[str]:
-    meta = {
+def _provenance(doc: dict, args) -> dict:
+    return {
         "tool_version": __version__,
         "config_hash": config_hash(doc),
         "seed": args.seed,
-        "rng": RNG_ID,
     }
-    meta.update(extra or {})
+
+
+def _meta_lines(doc: dict, args, extra=None) -> list[str]:
+    meta = {**_provenance(doc, args), "rng": RNG_ID, **(extra or {})}
     return [f"# {k}={v}" for k, v in meta.items()]
 
 
@@ -124,25 +131,21 @@ def _write(path: Path, lines):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _emit_json(path: Path, doc: dict, payload: dict, args, extra=None):
-    full = {
-        "tool_version": __version__,
-        "config_hash": config_hash(doc),
-        "seed": args.seed,
-        **(extra or {}),
-        **payload,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(full, indent=2, sort_keys=True) + "\n")
-    return full
+def _emit_json(path: Path, doc: dict, payload: dict, args):
+    full = {**_provenance(doc, args), **payload}
+    _write(path, [json.dumps(full, indent=2, sort_keys=True)])
 
 
-def _print_summary(args, payload: dict):
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for k, v in payload.items():
-            print(f"{k}: {v}")
+def _table_lines(doc: dict, args, cols, rows) -> list[str]:
+    """Provenance, a header of cols, then one line per row dict (blank for
+    a missing column); str of a Python float is its repr."""
+    body = [",".join(str(row.get(c, "")) for c in cols) for row in rows]
+    return _meta_lines(doc, args) + [",".join(cols), *body]
+
+
+def _print_summary(payload: dict):
+    for k, v in payload.items():
+        print(f"{k}: {v}")
 
 
 def cmd_analyze(args) -> int:
@@ -151,6 +154,8 @@ def cmd_analyze(args) -> int:
     mode = args.mode or doc.get("mode", "coop")
     if args.trace and mode != "coop":
         raise ConfigError("--trace requires cooperative mode")
+    if args.trace and int(doc.get("trace_t", 1)) < 1:
+        raise ConfigError("'trace_t' must be >= 1")
     degrees = _degrees_from(doc, topology)
     t_vals = _t_values(doc, args.grid_points)
     out_dir = Path(args.out)
@@ -194,7 +199,7 @@ def cmd_analyze(args) -> int:
             out_dir / "trace.csv",
             _meta_lines(doc, args, {"trace_t": trace_t}) + [header, *rows],
         )
-    _print_summary(args, payload)
+    _print_summary(payload)
     return EXIT_OK if peak.converged else EXIT_NONCONV
 
 
@@ -215,17 +220,22 @@ def cmd_simulate(args) -> int:
         replica = tuple(sorted((int(k), float(v)) for k, v in raw.items()))
     else:
         degrees = _degrees_from(doc, topology)
+    alpha = float(doc.get("alpha", 0.8))
+    if not 0.0 < alpha <= 1.0:
+        raise ConfigError(f"'alpha' must be in (0, 1], got {alpha}")
+    trials = int(doc.get("trials", 100))
+    if trials < 1:
+        raise ConfigError(f"'trials' must be >= 1, got {trials}")
     spec = SimulationSpec(
         topology=topology,
         mode=mode,
         degrees=degrees,
-        alpha=float(doc.get("alpha", 0.8)),
+        alpha=alpha,
         t_slots=int(doc["t"]) if "t" in doc else None,
         slot_cap=int(doc["slot_cap"]) if "slot_cap" in doc else None,
         replica_dist=replica,
         master_seed=args.seed,
     )
-    trials = int(doc.get("trials", 100))
     result = monte_carlo(spec, trials, workers=args.workers)
     out_dir = Path(args.out)
     _write(
@@ -236,7 +246,6 @@ def cmd_simulate(args) -> int:
     payload = result.summary()
     _emit_json(out_dir / "aggregate.json", doc, payload, args)
     _print_summary(
-        args,
         {
             "mean_throughput": payload["mean_throughput"],
             "stderr_throughput": payload["stderr_throughput"],
@@ -251,19 +260,22 @@ def cmd_optimize(args) -> int:
     doc = _load_config(args.config)
     topology = _topology_from(doc)
     tie = doc.get("tie_classes")
-    spec = OptimizationSpec(
-        topology=topology,
-        alpha=float(doc.get("alpha", 0.8)),
-        mode=doc.get("mode", "coop"),
-        tie_classes=tuple(tuple(c) for c in tie) if tie else None,
-        bounds=tuple(doc.get("bounds", (0.0, 4.0))),
-        population=int(doc.get("population", 300)),
-        mutant_factor=float(doc.get("mutant_factor", 0.2)),
-        generations=int(doc.get("generations", 30)),
-        crossover_rate=float(doc.get("crossover_rate", 0.9)),
-        allow_long=args.allow_long_running,
-        cache_dir=args.cache_dir,
-    )
+    try:
+        spec = OptimizationSpec(
+            topology=topology,
+            alpha=float(doc.get("alpha", 0.8)),
+            mode=doc.get("mode", "coop"),
+            tie_classes=tuple(tuple(c) for c in tie) if tie else None,
+            bounds=tuple(doc.get("bounds", (0.0, 4.0))),
+            population=int(doc.get("population", 300)),
+            mutant_factor=float(doc.get("mutant_factor", 0.2)),
+            generations=int(doc.get("generations", 30)),
+            crossover_rate=float(doc.get("crossover_rate", 0.9)),
+            allow_long=args.allow_long_running,
+            cache_dir=args.cache_dir,
+        )
+    except ValueError as e:  # the spec checks its own settings
+        raise ConfigError(str(e)) from e
     result = optimize(spec, seed=args.seed, workers=args.workers, fast=args.fast)
     out_dir = Path(args.out)
     payload = result.summary()
@@ -276,7 +288,6 @@ def cmd_optimize(args) -> int:
         + [f"{gcols},t_star,throughput,feasible", f"{gvals},{result.t_star},{result.throughput!r},{int(result.feasible)}"],
     )
     _print_summary(
-        args,
         {
             "best_g": [round(v, 4) for v in result.best_g],
             "throughput": result.throughput,
@@ -338,10 +349,7 @@ def cmd_bounds(args) -> int:
         "m", "s_noncoop", "s_lower", "s_upper", "s_exact",
         "gamma_lower", "gamma_exact", "gamma_upper",
     ]
-    lines = _meta_lines(doc, args) + [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, "")) for c in cols))
-    _write(out_dir / "bounds.csv", lines)
+    _write(out_dir / "bounds.csv", _table_lines(doc, args, cols, rows))
     _emit_json(out_dir / "bounds.json", doc, {"rows": rows}, args)
     return EXIT_OK
 
@@ -353,12 +361,12 @@ def cmd_compare(args) -> int:
     raw = doc.get("replica_dist", {"2": 1.0})
     replica = tuple(sorted((int(k), float(v)) for k, v in raw.items()))
     gbars = [float(v) for v in doc.get("gbar_values", [0.5, 0.6, 0.7, 0.75, 0.8, 0.9])]
+    if not gbars or min(gbars) <= 0:
+        raise ConfigError("'gbar_values' needs at least one value, each > 0")
     trials = int(doc.get("trials", 10))
     n = topology.num_users
     m = topology.num_bs
-    p = np.array(
-        [g / grp.num_users if grp.num_users else 0.0 for g, grp in zip(degrees, topology.groups)]
-    )
+    p = np.array(TargetDegreeVector(degrees).probabilities(topology))
     weights = np.array([grp.num_users for grp in topology.groups]) / n
     rows = []
     for gbar in gbars:
@@ -400,54 +408,9 @@ def cmd_compare(args) -> int:
             f"plr={rows[-1]['frameless_plr']:.3e}/{rows[-1]['baseline_plr']:.3e}"
         )
     out_dir = Path(args.out)
-    cols = list(rows[0].keys())
-    lines = _meta_lines(doc, args) + [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
-    _write(out_dir / "compare.csv", lines)
+    _write(out_dir / "compare.csv", _table_lines(doc, args, list(rows[0]), rows))
     _emit_json(out_dir / "compare.json", doc, {"rows": rows}, args)
     return EXIT_OK
-
-
-def cmd_repro(args) -> int:
-    """Scaled-down acceptance run: fast checks of the headline numbers."""
-    failures = []
-
-    def check(name, ok, detail):
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
-        if not ok:
-            failures.append(name)
-
-    topo1 = full_topology(1, [10000])
-    pk1 = peak_search(topo1, [3.10], "coop", cache_dir=args.cache_dir)
-    check("table1-m1-peak", abs(pk1.throughput - 0.874) <= 0.005,
-          f"S={pk1.throughput:.4f} vs 0.874±0.005")
-    topo2 = full_topology(2, [10000] * 3)
-    pk2 = peak_search(topo2, (1.81, 1.81, 1.68), "coop", cache_dir=args.cache_dir)
-    check("table1-m2-peak", abs(pk2.throughput - 1.676) <= 0.005,
-          f"S={pk2.throughput:.4f} vs 1.676±0.005")
-    g_nc = simultaneous_transmission_degrees(topo2)
-    pk_nc = peak_search(topo2, g_nc, "noncoop")
-    gamma = pk2.throughput / pk_nc.throughput
-    check("gain-m2", abs(gamma - 1.26) <= 0.03, f"Gamma={gamma:.3f} vs 1.26±0.03")
-    pk_b = peak_search(topo2, (1.81, 1.81, 1.68), "bound")
-    check("bound-ordering", pk_b.throughput <= pk2.throughput <= upper_bound_throughput(2),
-          f"{pk_b.throughput:.3f} <= {pk2.throughput:.3f} <= {upper_bound_throughput(2):.3f}")
-    mc = monte_carlo(
-        SimulationSpec(topology=topo2, mode="frameless", degrees=(1.81, 1.81, 1.68),
-                       alpha=0.8, master_seed=args.seed),
-        trials=10,
-        workers=args.workers,
-    )
-    check("simulated-m2", abs(mc.mean_throughput - 1.673) <= 0.02,
-          f"mean S={mc.mean_throughput:.4f} vs 1.673±0.02 (10 trials)")
-    spec = OptimizationSpec(topology=topo1, alpha=0.8, mode="coop")
-    opt = optimize(spec, seed=args.seed, workers=args.workers, fast=True)
-    check("optimizer-m1", opt.feasible and abs(opt.best_g[0] - 3.10) <= 0.05,
-          f"G={opt.best_g[0]:.3f} vs 3.10±0.05 (fast settings)")
-    print(f"{6 - len(failures)}/6 checks passed")
-    return EXIT_OK if not failures else 1
 
 
 # Every flag a command may take; each command registers the ones it reads.
@@ -456,8 +419,6 @@ FLAGS = {
     "--seed": dict(type=int, default=0),
     "--workers": dict(type=int, default=1),
     "--out": dict(default="out", help="output directory"),
-    "--format": dict(choices=("csv", "json"), default="csv",
-                     help="stdout summary format"),
     "--fast": dict(action="store_true", help="scaled-down settings for smoke runs"),
     "--allow-long-running": dict(action="store_true", help="permit exact analysis "
                                  "beyond 7 groups (e.g. full M=4)"),
@@ -484,19 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = "--config --seed --workers --out"
     p = command("analyze", cmd_analyze, "density-evolution PLR curve and peak",
-                f"{run} --format --allow-long-running --cache-dir")
+                f"{run} --allow-long-running --cache-dir")
     p.add_argument("--mode", choices=("coop", "noncoop", "bound"), default=None)
     p.add_argument("--trace", action="store_true",
                    help="write per-iteration retrieval-probability trace")
     p.add_argument("--grid-points", type=int, default=41)
-    command("simulate", cmd_simulate, "Monte Carlo frames", f"{run} --format")
+    command("simulate", cmd_simulate, "Monte Carlo frames", run)
     command("optimize", cmd_optimize, "differential-evolution degree search",
-            f"{run} --format --fast --allow-long-running --cache-dir")
+            f"{run} --fast --allow-long-running --cache-dir")
     command("bounds", cmd_bounds, "gain bounds versus number of BSs",
             f"{run} --allow-long-running --cache-dir")
     command("compare", cmd_compare, "frameless vs spatio-temporal baseline", run)
-    command("repro", cmd_repro, "scaled-down acceptance checks",
-            "--seed --workers --cache-dir")
     return parser
 
 

@@ -237,14 +237,6 @@ class _EngineBase:
             trace_r1=trace_r1,
         )
 
-    def evaluate_degrees(
-        self, degrees, t_values, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL, **kw
-    ) -> BatchEvolution:
-        p = _prob_vector(self.topology, degrees)
-        t = np.atleast_1d(np.asarray(t_values, dtype=np.int64))
-        rows = np.broadcast_to(p, (len(t), len(p)))
-        return self.evaluate(rows, t, max_iter=max_iter, tol=tol, **kw)
-
 
 class CoopEngine(_EngineBase):
     """Joint-SIC density evolution using the walk-graph retrievability tables."""
@@ -380,8 +372,12 @@ def evolve(
     if trace and mode != "coop":
         raise ValueError("trace recording needs the cooperative mode")
     engine = engine or make_engine(topology, mode, **engine_kw)
-    out = engine.evaluate_degrees(
-        degrees, [t_slots], max_iter=max_iter, tol=tol, want_trace=trace
+    out = engine.evaluate(
+        _prob_vector(topology, degrees),
+        [t_slots],
+        max_iter=max_iter,
+        tol=tol,
+        want_trace=trace,
     )
     return EvolutionResult(
         t=t_slots,
@@ -422,17 +418,6 @@ class PlrCurve:
                 f"{float(self.throughput[k])!r}"
             )
 
-    @classmethod
-    def from_batch(cls, out: BatchEvolution) -> "PlrCurve":
-        order = np.argsort(out.t, kind="stable")
-        return cls(
-            t=out.t[order],
-            plr_groups=out.plr_groups[order],
-            plr_avg=out.plr_avg[order],
-            throughput=out.throughput[order],
-            converged=out.converged[order],
-        )
-
 
 @dataclass(frozen=True)
 class PeakResult:
@@ -455,25 +440,6 @@ def default_t_grid(topology: NetworkTopology, points: int = 41) -> np.ndarray:
     lo = max(1, math.ceil(0.5 * n / (m * SINGLE_BS_PEAK)))
     hi = max(lo + 1, math.ceil(2 * n / m))
     return np.unique(np.linspace(lo, hi, points).round().astype(np.int64))
-
-
-def plr_curve(
-    topology: NetworkTopology,
-    degrees,
-    t_range,
-    mode: str = "coop",
-    *,
-    engine=None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    **engine_kw,
-) -> PlrCurve:
-    t_range = np.asarray(list(t_range), dtype=np.int64)
-    if t_range.size == 0:
-        raise ValueError("empty T range")
-    engine = engine or make_engine(topology, mode, **engine_kw)
-    out = engine.evaluate_degrees(degrees, t_range, max_iter=max_iter, tol=tol)
-    return PlrCurve.from_batch(out)
 
 
 def peak_t(seen: dict[int, tuple]) -> int:
@@ -677,49 +643,3 @@ def simultaneous_transmission_degrees(
         raise ValueError("topology has no users")
     p = g_single / mean_observed
     return tuple(g.num_users * p for g in topology.groups)
-
-
-@dataclass(frozen=True)
-class GainResult:
-    gamma: float
-    peak_coop: PeakResult
-    peak_noncoop: PeakResult
-
-
-def diversity_gain(
-    topology: NetworkTopology,
-    degrees_coop,
-    degrees_noncoop,
-    *,
-    t_grid=None,
-    coop_engine=None,
-    noncoop_engine=None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    **engine_kw,
-) -> GainResult:
-    """Ratio of cooperative to non-cooperative peak throughput."""
-    pc = peak_search(
-        topology,
-        degrees_coop,
-        "coop",
-        engine=coop_engine,
-        t_grid=t_grid,
-        max_iter=max_iter,
-        tol=tol,
-        **engine_kw,
-    )
-    pn = peak_search(
-        topology,
-        degrees_noncoop,
-        "noncoop",
-        engine=noncoop_engine,
-        t_grid=t_grid,
-        max_iter=max_iter,
-        tol=tol,
-    )
-    if pn.throughput <= 0:
-        raise ZeroDivisionError("non-cooperative peak throughput is zero")
-    return GainResult(
-        gamma=pc.throughput / pn.throughput, peak_coop=pc, peak_noncoop=pn
-    )

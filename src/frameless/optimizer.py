@@ -49,6 +49,7 @@ class OptimizationSpec:
             raise ValueError(f"degenerate bounds {self.bounds}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        self.classes()  # raises on overlapping or incomplete tie classes
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Tie classes over populated groups (empty groups keep G = 0)."""
@@ -154,25 +155,15 @@ class _FitnessEvaluator:
 
     def __init__(self, spec: OptimizationSpec, workers: int = 1):
         self.spec = spec
-        self.workers = workers
-        self.engine = None
+        self.engine = make_engine(
+            spec.topology,
+            spec.mode,
+            cache_dir=spec.cache_dir,
+            allow_long=spec.allow_long,
+            workers=workers,
+        )
         self.cache: dict[tuple, FitnessResult] = {}
         self.grid = default_t_grid(spec.topology)
-
-    def _ensure_engine(self):
-        if self.engine is None:
-            self.engine = make_engine(
-                self.spec.topology,
-                self.spec.mode,
-                cache_dir=self.spec.cache_dir,
-                allow_long=self.spec.allow_long,
-                workers=self.workers,
-            )
-
-    def _evaluate_block(self, p_mat: np.ndarray) -> list[FitnessResult]:
-        self._ensure_engine()
-        peaks = batched_peak_search(self.engine, p_mat, t_grid=self.grid)
-        return [_result_from_peak(self.spec, pk) for pk in peaks]
 
     def __call__(self, g_vectors: list[np.ndarray]) -> list[FitnessResult]:
         keys = [_quantize(g) for g in g_vectors]
@@ -185,9 +176,9 @@ class _FitnessEvaluator:
                 p = deg(tuple(g)).probabilities(self.spec.topology)
                 new_rows.append(p)
         if new_rows:
-            results = self._evaluate_block(np.array(new_rows))
-            for key, res in zip(new_keys, results):
-                self.cache[key] = res
+            peaks = batched_peak_search(self.engine, np.array(new_rows), t_grid=self.grid)
+            for key, peak in zip(new_keys, peaks):
+                self.cache[key] = _result_from_peak(self.spec, peak)
         return [self.cache[key] for key in keys]
 
 

@@ -271,19 +271,16 @@ class PatternDag:
     sum_k mask[k] * prod_i V[state_i, i] evaluates in O(nodes) instead of
     O(3^K), vectorized over any trailing batch shape of V.
 
-    masks is one table of length 3^K with its companion tuple, or an
-    (R, 3^K) stack with one companion tuple per row: every root has K
-    companions, so level l of all roots lines up and one pass over the
-    levels evaluates all R sums. Each level holds its nodes' child indices
-    into the level below, state by state as a (3, nodes) array, and the
-    group whose digit each node consumes; the leaves 0 and 1 are shared.
+    masks is an (R, 3^K) stack of tables with one companion tuple per row:
+    every root has K companions, so level l of all roots lines up and one
+    pass over the levels evaluates all R sums. Each level holds its nodes'
+    child indices into the level below, state by state as a (3, nodes)
+    array, and the group whose digit each node consumes; the leaves 0 and 1
+    are shared.
     """
 
     def __init__(self, masks: np.ndarray, companions):
         masks = np.asarray(masks)
-        self._single = masks.ndim == 1
-        if self._single:
-            masks, companions = masks[None], [tuple(companions)]
         comps = np.array(companions, dtype=np.int64).reshape(len(masks), -1)
         k = comps.shape[1]
         if masks.shape[1] != 3**k:
@@ -308,15 +305,11 @@ class PatternDag:
         self.num_nodes = sum(len(g) for g in self.groups)
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
-        """v has shape (3, I) or (3, I, B); returns (R,) or (R, B) sums
-        (a scalar or (B,) for a single mask)."""
+        """v has shape (3, I) or (3, I, B); returns (R,) or (R, B) sums."""
         vals = np.zeros((2,) + v.shape[2:])
         vals[1] = 1.0
         for children, grp in zip(self.children, self.groups):
             terms = np.take(vals, children, axis=0)
             terms *= np.take(v, grp, axis=1)
             vals = terms[0] + terms[1] + terms[2]
-        out = vals[self.roots]
-        if self._single:
-            return out[0] if out.ndim > 1 else float(out[0])
-        return out
+        return vals[self.roots]

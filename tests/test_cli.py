@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from frameless import __version__
 from frameless.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -91,6 +92,81 @@ def test_empty_or_nonpositive_t_grid_is_a_config_error(tmp_path, capsys, extra, 
     assert run(["analyze", "--config", cfg, "--out", out, *flags]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
+    cfg = small_m1_config(tmp_path, trace_t=0)
+    out = tmp_path / "out"
+    assert run(["analyze", "--config", cfg, "--out", out, "--trace"]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", {"trials": 0}),
+        ("simulate", {"alpha": 1.5}),
+        ("compare", {"gbar_values": []}),
+        ("compare", {"gbar_values": [0]}),
+        ("optimize", {"population": 2}),
+        ("optimize", {"tie_classes": [[0], [0]]}),
+        ("analyze", {"degrees": ["three"]}),
+        ("analyze", {"t_grid": {"stop": 3000}}),
+    ],
+    ids=[
+        "simulate-trials-0", "simulate-alpha-above-1", "compare-gbar-empty",
+        "compare-gbar-0", "optimize-population-2", "optimize-tie-classes-overlap",
+        "analyze-degree-not-a-number", "analyze-t-grid-without-start",
+    ],
+)
+def test_config_value_the_library_rejects_is_a_config_error(
+    tmp_path, capsys, command, extra
+):
+    cfg = small_m1_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_command_records_its_provenance(tmp_path):
+    m1 = {
+        "topology": {"num_bs": 1, "groups": [{"bs_set": [1], "num_users": 200}]},
+        "degrees": [3.0],
+    }
+    runs = {
+        "analyze": ({**m1, "trace_t": 60}, ["--trace"]),
+        "simulate": ({**m1, "trials": 2}, []),
+        "optimize": ({**m1, "population": 4, "generations": 1}, ["--fast"]),
+        "bounds": (
+            {"m_values": [1], "num_users_per_group": 200, "bound_population": 4,
+             "bound_generations": 1, "exact_degrees": {"1": [3.1]}},
+            [],
+        ),
+        "compare": ({**m1, "gbar_values": [0.8], "trials": 2}, []),
+    }
+    for command, (doc, flags) in runs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", out, "--seed", 3, *flags]) == EXIT_OK
+        provenance = [
+            f"# tool_version={__version__}",
+            f"# config_hash={config_hash(doc)}",
+            "# seed=3",
+            "# rng=",
+        ]
+        csvs, jsons = sorted(out.glob("*.csv")), sorted(out.glob("*.json"))
+        assert csvs and jsons, command
+        for path in csvs:
+            head = path.read_text().splitlines()[:4]
+            assert all(l.startswith(p) for l, p in zip(head, provenance)), path
+        for path in jsons:
+            meta = json.loads(path.read_text())
+            assert meta["tool_version"] == __version__, path
+            assert meta["config_hash"] == config_hash(doc), path
+            assert meta["seed"] == 3, path
 
 
 def test_analyze_noncoop_mode(tmp_path):
@@ -210,14 +286,13 @@ def test_shipped_configs_parse():
 
 # Flags each subcommand registers: exactly the ones its command reads.
 OPTIONS = {
-    "analyze": "--config --seed --workers --out --format --allow-long-running "
+    "analyze": "--config --seed --workers --out --allow-long-running "
     "--cache-dir --mode --trace --grid-points",
-    "simulate": "--config --seed --workers --out --format",
-    "optimize": "--config --seed --workers --out --format --fast "
+    "simulate": "--config --seed --workers --out",
+    "optimize": "--config --seed --workers --out --fast "
     "--allow-long-running --cache-dir",
     "bounds": "--config --seed --workers --out --allow-long-running --cache-dir",
     "compare": "--config --seed --workers --out",
-    "repro": "--seed --workers --cache-dir",
 }
 
 
@@ -228,19 +303,19 @@ def test_each_command_takes_only_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert got == {name: set(flags.split()) for name, flags in OPTIONS.items()}
-    assert sum(map(len, got.values())) == 36
+    assert sum(map(len, got.values())) == 30
 
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--fast"],
     ["compare", "--cache-dir", "x"],
     ["bounds", "--format", "json"],
-    ["repro", "--out", "x"],
+    ["analyze", "--format", "json"],
 ])
 def test_unread_flag_is_rejected(tmp_path, argv):
     cfg = small_m1_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        run(argv + ([] if argv[0] == "repro" else ["--config", cfg]))
+        run(argv + ["--config", cfg])
     assert exc.value.code == EXIT_CONFIG
 
 

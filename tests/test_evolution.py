@@ -12,12 +12,10 @@ from frameless.evolution import (
     _RowPool,
     batched_peak_search,
     default_t_grid,
-    diversity_gain,
     evolve,
     make_engine,
     peak_search,
     peak_t,
-    plr_curve,
     simultaneous_transmission_degrees,
 )
 from frameless.walkgraph import GuardError
@@ -281,7 +279,10 @@ def test_guard_without_allow_long():
 
 
 def test_plr_curve_header_and_peak(topo_m1):
-    curve = plr_curve(topo_m1, (3.10,), [9000, 10615, 12000], mode="coop")
+    out = make_engine(topo_m1, "coop").evaluate(
+        np.full((3, 1), 3.10 / 10000), [9000, 10615, 12000]
+    )
+    curve = PlrCurve(out.t, out.plr_groups, out.plr_avg, out.throughput, out.converged)
     assert curve.header() == "T,plr_avg,plr_g1,throughput"
     t_star = peak_t(dict(zip(curve.t.tolist(), zip(curve.throughput.tolist()))))
     assert t_star == 10615
@@ -308,11 +309,6 @@ def test_peak_search_extends_grid(topo_m1):
     pk = peak_search(topo_m1, (3.10,), "coop", t_grid=range(3000, 5001, 500))
     assert pk.t_star > 5000
     assert pk.throughput == pytest.approx(0.8745, abs=0.001)
-
-
-def test_empty_t_range_rejected(topo_m1):
-    with pytest.raises(ValueError):
-        plr_curve(topo_m1, (3.10,), [], mode="coop")
 
 
 @pytest.mark.parametrize("t_grid", [[], np.array([], dtype=np.int64)])
@@ -352,11 +348,6 @@ def test_simultaneous_transmission_degrees(topo_m2):
     assert g == pytest.approx((1.549, 1.549, 1.549))
     # every BS observes the single-BS design load
     assert g[0] + g[2] == pytest.approx(3.098)
-
-
-def test_diversity_gain_identity(topo_m1):
-    res = diversity_gain(topo_m1, (3.10,), (3.10,))
-    assert res.gamma == pytest.approx(1.0, abs=1e-9)
 
 
 def assert_same_seen(streamed, lockstep):

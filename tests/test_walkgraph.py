@@ -245,22 +245,22 @@ def test_dag_matches_direct_sum(seed):
     c = rng.random(n) * (1 - r)
     v = np.stack([r, c, 1 - r - c])
     for mask in (table.retrievable, table.singleton, table.rescue):
-        dag = PatternDag(mask, companion_order(n, target))
+        dag = PatternDag(mask[None], [companion_order(n, target)])
         direct = pattern_mass(topo, target, r, c, mask=mask)
-        assert dag.evaluate(v) == pytest.approx(direct, abs=1e-12)
+        assert dag.evaluate(v)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_dag_batch_evaluation():
     topo = full_topology(2, [4, 4, 4])
     table = build_retrievability_table(topo, 2)
-    dag = PatternDag(table.retrievable, companion_order(3, 2))
+    dag = PatternDag(table.retrievable[None], [companion_order(3, 2)])
     rng = np.random.default_rng(3)
     r = rng.random((3, 5))
     c = rng.random((3, 5)) * (1 - r)
     v = np.stack([r, c, 1 - r - c])  # (3, I, batch)
-    batched = dag.evaluate(v)
+    batched = dag.evaluate(v)[0]
     for b in range(5):
-        assert batched[b] == pytest.approx(dag.evaluate(v[:, :, b]), abs=1e-12)
+        assert batched[b] == pytest.approx(dag.evaluate(v[:, :, b])[0], abs=1e-12)
 
 
 def test_fused_dag_matches_per_root_direct_sums():
@@ -282,7 +282,7 @@ def test_fused_dag_matches_per_root_direct_sums():
             assert fused.shape == (n, 4)
             for i in range(n):
                 # a single root runs the same node arithmetic
-                single = PatternDag(masks[i], comps[i]).evaluate(v)
+                single = PatternDag(masks[i : i + 1], [comps[i]]).evaluate(v)[0]
                 assert np.array_equal(fused[i], single)
                 for b in range(4):
                     direct = pattern_mass(topo, i, r[:, b], c[:, b], mask=masks[i])
