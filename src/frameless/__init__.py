@@ -17,7 +17,7 @@ from .topology import (
 from .walkgraph import (
     GuardError,
     RetrievabilityTable,
-    build_retrievability_table,
+    build_retrievability_tables,
     load_or_build_tables,
 )
 from .evolution import (

@@ -4,9 +4,8 @@ Every command reads a JSON config, writes CSV (canonical) plus a JSON
 mirror into --out, and embeds the config hash, tool version, and seed in
 each output so identical configs reproduce identical primary columns.
 
-Exit codes: 0 success, 2 config error, 3 guard refusal (pattern space too
-large without --allow-long-running), 4 non-convergence / no feasible
-optimum.
+Exit codes: 0 success, 2 config error, 3 guard refusal (exact analysis
+of more than 15 groups), 4 non-convergence / no feasible optimum.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ import numpy as np
 from . import __version__
 from .bounds import upper_bound_throughput
 from .evolution import (
-    FAST_GROUP_LIMIT,
-    GuardError,
     evolve,
     make_engine,
     peak_search,
@@ -38,11 +35,14 @@ from .topology import (
     full_topology,
     load_topology,
 )
+from .walkgraph import GuardError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_NONCONV = 4
+
+MODES = ("coop", "noncoop", "bound")
 
 
 class ConfigError(ValueError):
@@ -90,6 +90,26 @@ def _degrees_from(doc: dict, topology: NetworkTopology, key="degrees"):
         return tuple(float(v) for v in g)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"'{key}' must list numbers: {e}") from e
+
+
+def _mode_from(doc: dict) -> str:
+    mode = doc.get("mode", "coop")
+    if mode not in MODES:
+        raise ConfigError(f"'mode' must be one of {', '.join(MODES)}, got {mode!r}")
+    return mode
+
+
+def _count(doc: dict, key: str, default=None):
+    """The config's integer `key`, which must be >= 1, else default."""
+    if key not in doc:
+        return default
+    try:
+        value = int(doc[key])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"'{key}' must be an integer: {e}") from e
+    if value < 1:
+        raise ConfigError(f"'{key}' must be >= 1, got {value}")
+    return value
 
 
 def _t_values(doc: dict, points: int):
@@ -151,7 +171,7 @@ def _print_summary(payload: dict):
 def cmd_analyze(args) -> int:
     doc = _load_config(args.config)
     topology = _topology_from(doc)
-    mode = args.mode or doc.get("mode", "coop")
+    mode = args.mode or _mode_from(doc)
     if args.trace and mode != "coop":
         raise ConfigError("--trace requires cooperative mode")
     if args.trace and int(doc.get("trace_t", 1)) < 1:
@@ -159,13 +179,7 @@ def cmd_analyze(args) -> int:
     degrees = _degrees_from(doc, topology)
     t_vals = _t_values(doc, args.grid_points)
     out_dir = Path(args.out)
-    engine = make_engine(
-        topology,
-        mode,
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        allow_long=args.allow_long_running,
-    )
+    engine = make_engine(topology, mode, cache_dir=args.cache_dir, workers=args.workers)
     peak = peak_search(
         topology, degrees, mode, engine=engine, t_grid=t_vals, points=args.grid_points
     )
@@ -223,16 +237,14 @@ def cmd_simulate(args) -> int:
     alpha = float(doc.get("alpha", 0.8))
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"'alpha' must be in (0, 1], got {alpha}")
-    trials = int(doc.get("trials", 100))
-    if trials < 1:
-        raise ConfigError(f"'trials' must be >= 1, got {trials}")
+    trials = _count(doc, "trials", 100)
     spec = SimulationSpec(
         topology=topology,
         mode=mode,
         degrees=degrees,
         alpha=alpha,
-        t_slots=int(doc["t"]) if "t" in doc else None,
-        slot_cap=int(doc["slot_cap"]) if "slot_cap" in doc else None,
+        t_slots=_count(doc, "t"),
+        slot_cap=_count(doc, "slot_cap"),
         replica_dist=replica,
         master_seed=args.seed,
     )
@@ -264,14 +276,13 @@ def cmd_optimize(args) -> int:
         spec = OptimizationSpec(
             topology=topology,
             alpha=float(doc.get("alpha", 0.8)),
-            mode=doc.get("mode", "coop"),
+            mode=_mode_from(doc),
             tie_classes=tuple(tuple(c) for c in tie) if tie else None,
             bounds=tuple(doc.get("bounds", (0.0, 4.0))),
             population=int(doc.get("population", 300)),
             mutant_factor=float(doc.get("mutant_factor", 0.2)),
             generations=int(doc.get("generations", 30)),
             crossover_rate=float(doc.get("crossover_rate", 0.9)),
-            allow_long=args.allow_long_running,
             cache_dir=args.cache_dir,
         )
     except ValueError as e:  # the spec checks its own settings
@@ -304,9 +315,22 @@ def cmd_bounds(args) -> int:
     n_per_group = int(doc.get("num_users_per_group", 10000))
     g_single = float(doc.get("noncoop_degree", 3.098))
     exact_g = doc.get("exact_degrees", {})
+    try:  # the bound search's DE settings, checked before any work
+        bound_specs = [
+            OptimizationSpec(
+                topology=full_topology(m, [n_per_group] * (2**m - 1)),
+                mode="bound",
+                alpha=float(doc.get("alpha", 0.8)),
+                population=int(doc.get("bound_population", 30)),
+                generations=int(doc.get("bound_generations", 10)),
+            )
+            for m in m_values
+        ]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     rows = []
-    for m in m_values:
-        topology = full_topology(m, [n_per_group] * (2**m - 1))
+    for m, bound_spec in zip(m_values, bound_specs):
+        topology = bound_spec.topology
         g_nc = simultaneous_transmission_degrees(topology, g_single)
         pk_nc = peak_search(topology, g_nc, "noncoop")
         s_up = upper_bound_throughput(m)
@@ -316,25 +340,16 @@ def cmd_bounds(args) -> int:
             "s_upper": s_up,
             "gamma_upper": s_up / pk_nc.throughput,
         }
-        bound_spec = OptimizationSpec(
-            topology=topology,
-            mode="bound",
-            alpha=float(doc.get("alpha", 0.8)),
-            population=int(doc.get("bound_population", 30)),
-            generations=int(doc.get("bound_generations", 10)),
-        )
         opt_b = optimize(bound_spec, seed=args.seed, workers=args.workers)
         row["s_lower"] = opt_b.throughput
         row["gamma_lower"] = opt_b.throughput / pk_nc.throughput
-        exact_possible = 2**m - 1 <= FAST_GROUP_LIMIT or args.allow_long_running
-        if exact_possible and str(m) in exact_g:
+        if str(m) in exact_g:
             pk_c = peak_search(
                 topology,
                 tuple(float(v) for v in exact_g[str(m)]),
                 "coop",
                 cache_dir=args.cache_dir,
                 workers=args.workers,
-                allow_long=args.allow_long_running,
             )
             row["s_exact"] = pk_c.throughput
             row["gamma_exact"] = pk_c.throughput / pk_nc.throughput
@@ -363,7 +378,7 @@ def cmd_compare(args) -> int:
     gbars = [float(v) for v in doc.get("gbar_values", [0.5, 0.6, 0.7, 0.75, 0.8, 0.9])]
     if not gbars or min(gbars) <= 0:
         raise ConfigError("'gbar_values' needs at least one value, each > 0")
-    trials = int(doc.get("trials", 10))
+    trials = _count(doc, "trials", 10)
     n = topology.num_users
     m = topology.num_bs
     p = np.array(TargetDegreeVector(degrees).probabilities(topology))
@@ -420,8 +435,6 @@ FLAGS = {
     "--workers": dict(type=int, default=1),
     "--out": dict(default="out", help="output directory"),
     "--fast": dict(action="store_true", help="scaled-down settings for smoke runs"),
-    "--allow-long-running": dict(action="store_true", help="permit exact analysis "
-                                 "beyond 7 groups (e.g. full M=4)"),
     "--cache-dir": dict(help="retrievability table cache (default: "
                         "$FRAMELESS_CACHE_DIR or ~/.cache/frameless-aloha)"),
 }
@@ -445,16 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = "--config --seed --workers --out"
     p = command("analyze", cmd_analyze, "density-evolution PLR curve and peak",
-                f"{run} --allow-long-running --cache-dir")
-    p.add_argument("--mode", choices=("coop", "noncoop", "bound"), default=None)
+                f"{run} --cache-dir")
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--trace", action="store_true",
                    help="write per-iteration retrieval-probability trace")
     p.add_argument("--grid-points", type=int, default=41)
     command("simulate", cmd_simulate, "Monte Carlo frames", run)
     command("optimize", cmd_optimize, "differential-evolution degree search",
-            f"{run} --fast --allow-long-running --cache-dir")
+            f"{run} --fast --cache-dir")
     command("bounds", cmd_bounds, "gain bounds versus number of BSs",
-            f"{run} --allow-long-running --cache-dir")
+            f"{run} --cache-dir")
     command("compare", cmd_compare, "frameless vs spatio-temporal baseline", run)
     return parser
 

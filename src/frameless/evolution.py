@@ -28,20 +28,12 @@ from functools import partial
 import numpy as np
 
 from .topology import NetworkTopology, TargetDegreeVector
-from .walkgraph import (
-    GuardError,
-    PatternDag,
-    companion_order,
-    load_or_build_tables,
-)
+from .walkgraph import PatternDag, companion_order, load_or_build_tables
 
 DEFAULT_MAX_ITER = 2000
 DEFAULT_TOL = 1e-10
 # Asymptotic peak throughput of single-BS frameless ALOHA.
 SINGLE_BS_PEAK = 0.87
-
-# Pattern space beyond 3^6 (more than 7 groups) is gated behind allow_long.
-FAST_GROUP_LIMIT = 7
 
 # Computed probabilities outside [0, 1] by more than this indicate a bug.
 PROB_SLACK = 1e-6
@@ -241,21 +233,9 @@ class _EngineBase:
 class CoopEngine(_EngineBase):
     """Joint-SIC density evolution using the walk-graph retrievability tables."""
 
-    def __init__(
-        self,
-        topology: NetworkTopology,
-        *,
-        cache_dir=None,
-        workers: int = 1,
-        allow_long: bool = False,
-    ):
+    def __init__(self, topology: NetworkTopology, *, cache_dir=None, workers: int = 1):
         super().__init__(topology)
         n_groups = topology.num_groups
-        if n_groups > FAST_GROUP_LIMIT and not allow_long:
-            raise GuardError(
-                f"exact cooperative analysis over {n_groups} groups means "
-                f"3^{n_groups - 1} patterns per target; pass allow_long=True"
-            )
         self.tables = load_or_build_tables(topology, cache_dir, workers)
         # One levelized DAG over all targets: every target's collision-free
         # (singleton) table, then every target's rescue table.
@@ -327,17 +307,10 @@ class NoncoopEngine(_EngineBase):
 
 
 def make_engine(
-    topology: NetworkTopology,
-    mode: str,
-    *,
-    cache_dir=None,
-    workers: int = 1,
-    allow_long: bool = False,
+    topology: NetworkTopology, mode: str, *, cache_dir=None, workers: int = 1
 ):
     if mode == "coop":
-        return CoopEngine(
-            topology, cache_dir=cache_dir, workers=workers, allow_long=allow_long
-        )
+        return CoopEngine(topology, cache_dir=cache_dir, workers=workers)
     if mode == "noncoop":
         return NoncoopEngine(topology)
     if mode == "bound":

@@ -38,7 +38,6 @@ class OptimizationSpec:
     mutant_factor: float = 0.2
     generations: int = 30
     crossover_rate: float = 0.9
-    allow_long: bool = False
     cache_dir: str | None = None
 
     def __post_init__(self):
@@ -159,7 +158,6 @@ class _FitnessEvaluator:
             spec.topology,
             spec.mode,
             cache_dir=spec.cache_dir,
-            allow_long=spec.allow_long,
             workers=workers,
         )
         self.cache: dict[tuple, FitnessResult] = {}

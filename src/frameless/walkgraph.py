@@ -7,13 +7,14 @@ reach. SIC peels any state-1 group adjacent to a BS whose total incident
 edge multiplicity is 1; peeling removes the group's edges at all its BSs;
 state-2 groups are never peelable.
 
-For a target group fixed in state 1, the retrievability table records, for
-each of the 3^(I-1) companion-state patterns, whether the target peels.
-The table depends only on connectivity, never on probabilities, so it is
-built once and cached on disk.
-
-Patterns are indexed by a mixed-radix base-3 counter over the non-target
-groups in ascending group order, first companion most significant.
+One SIC pass over all 3^I patterns, group 0 the most significant digit,
+records for every group whether it peels and whether it started as a
+singleton at one of its BSs. A target's retrievability table is the slice
+of that pass where the target is in state 1: 3^(I-1) companion patterns,
+indexed by a mixed-radix base-3 counter over the other groups in
+ascending group order, first companion most significant. The tables
+depend only on connectivity, never on probabilities, so they are built
+once and cached on disk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .topology import NetworkTopology, structure_fingerprint
 CACHE_ENV = "FRAMELESS_CACHE_DIR"
 CACHE_VERSION = 2
 
-# 3^(I-1) enumeration is refused beyond this many groups.
+# Exact enumeration is refused beyond this many groups.
 MAX_GROUPS = 15
 _CHUNK = 1 << 19
 
@@ -45,14 +46,13 @@ def companion_order(num_groups: int, target: int) -> tuple[int, ...]:
     return tuple(i for i in range(num_groups) if i != target)
 
 
-def pattern_states(num_groups: int, target: int, lo: int, hi: int) -> np.ndarray:
-    """Decode pattern indices [lo, hi) into (hi-lo, I) state matrices."""
-    comps = companion_order(num_groups, target)
-    k = len(comps)
+def pattern_states(num_groups: int, lo: int, hi: int) -> np.ndarray:
+    """Decode pattern indices [lo, hi) into (hi-lo, I) state matrices,
+    group 0 the most significant digit."""
     idx = np.arange(lo, hi, dtype=np.int64)
-    states = np.ones((hi - lo, num_groups), dtype=np.int8)
-    for pos in range(k - 1, -1, -1):
-        states[:, comps[pos]] = (idx % 3).astype(np.int8)
+    states = np.empty((hi - lo, num_groups), dtype=np.int8)
+    for i in range(num_groups - 1, -1, -1):
+        states[:, i] = idx % 3
         idx //= 3
     return states
 
@@ -66,33 +66,26 @@ def incidence(topology: NetworkTopology) -> np.ndarray:
     return a
 
 
-def sic_on_patterns(states: np.ndarray, a: np.ndarray, target: int):
-    """Run walk-graph SIC on a batch of patterns simultaneously.
+def sic_on_patterns(states: np.ndarray, a: np.ndarray):
+    """Run walk-graph SIC to its fixpoint on a batch of patterns.
 
-    Returns (retrieved, initial_singleton) boolean vectors: whether the
-    target peels, and whether it was already a singleton at one of its
-    BSs before any peeling.
+    Returns (peeled, singleton) boolean (P, I) arrays: whether each group
+    peels, and whether it starts as a singleton at one of its BSs before
+    any peeling. A row leaves once a round peels nothing in it.
     """
     s = states.astype(np.float32)
-    target_bs = a[target] > 0
-    mult = s @ a
-    initial_singleton = (mult[:, target_bs] == 1.0).any(axis=1)
-    live = np.ones(len(s), dtype=bool)
+    singleton = (states == 1) & (((s @ a) == 1.0) @ a.T > 0.0)
+    rows, peel = np.arange(len(s)), singleton
     while True:
-        singleton = mult[live] == 1.0
-        peel = (s[live] == 1.0) & ((singleton @ a.T) > 0.0)
-        if not peel.any():
+        busy = peel.any(axis=1)
+        rows, peel = rows[busy], peel[busy]
+        if not len(rows):
             break
-        sl = s[live]
-        sl[peel] = 0.0
-        s[live] = sl
-        mult[live] = sl @ a
-        # Rows whose target already peeled need no further rounds.
-        sub = np.flatnonzero(live)
-        live[sub[s[sub, target] == 0.0]] = False
-    retrieved = states[:, target] == 1
-    retrieved = retrieved & (s[:, target] == 0.0)
-    return retrieved, initial_singleton
+        sub = s[rows]
+        sub[peel] = 0.0
+        s[rows] = sub
+        peel = (sub == 1.0) & (((sub @ a) == 1.0) @ a.T > 0.0)
+    return (states == 1) & (s == 0.0), singleton
 
 
 @dataclass(frozen=True)
@@ -120,40 +113,49 @@ class RetrievabilityTable:
             raise ValueError("table length does not match pattern space")
 
 
-def build_retrievability_table(
-    topology: NetworkTopology, target: int, workers: int = 1
-) -> RetrievabilityTable:
-    """Exhaustive SIC over all 3^(I-1) companion patterns for one target."""
+def build_retrievability_tables(
+    topology: NetworkTopology, workers: int = 1
+) -> dict[int, RetrievabilityTable]:
+    """Every group's table from one exhaustive SIC pass over 3^I patterns."""
     n_groups = topology.num_groups
     if n_groups > MAX_GROUPS:
         raise GuardError(
-            f"{n_groups} groups means 3^{n_groups - 1} patterns; "
+            f"{n_groups} groups means 3^{n_groups} patterns; "
             f"exact enumeration is guarded at {MAX_GROUPS} groups"
         )
-    if not 0 <= target < n_groups:
-        raise ValueError(f"target {target} out of range")
     a = incidence(topology)
-    n_pat = 3 ** (n_groups - 1)
-    retrievable = np.zeros(n_pat, dtype=bool)
-    singleton = np.zeros(n_pat, dtype=bool)
-    bounds = [(lo, min(lo + _CHUNK, n_pat)) for lo in range(0, n_pat, _CHUNK)]
+    n_pat = 3**n_groups
+    peeled = np.empty((n_pat, n_groups), dtype=bool)
+    singleton = np.empty((n_pat, n_groups), dtype=bool)
 
-    def run(span):
-        lo, hi = span
-        states = pattern_states(n_groups, target, lo, hi)
-        return lo, hi, *sic_on_patterns(states, a, target)
+    def run(lo):
+        hi = min(lo + _CHUNK, n_pat)
+        peeled[lo:hi], singleton[lo:hi] = sic_on_patterns(
+            pattern_states(n_groups, lo, hi), a
+        )
 
-    if workers > 1 and len(bounds) > 1:
+    starts = range(0, n_pat, _CHUNK)
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, bounds))
+            list(pool.map(run, starts))
     else:
-        results = [run(b) for b in bounds]
-    for lo, hi, retr, sing in results:
-        retrievable[lo:hi] = retr
-        singleton[lo:hi] = sing
-    return RetrievabilityTable(
-        target=target, num_groups=n_groups, retrievable=retrievable, singleton=singleton
-    )
+        for lo in starts:
+            run(lo)
+
+    def target_rows(table, i):
+        # Digit i fixed at 1; the digits left over are the companions of i
+        # in ascending group order, first most significant.
+        return table[:, i].reshape(3**i, 3, -1)[:, 1, :].ravel()
+
+    return {
+        i: RetrievabilityTable(
+            target=i,
+            num_groups=n_groups,
+            retrievable=target_rows(peeled, i),
+            singleton=target_rows(singleton, i),
+        )
+        for i in range(n_groups)
+    }
 
 
 def default_cache_dir() -> Path:
@@ -238,18 +240,18 @@ def load_table(topology: NetworkTopology, target: int, cache_dir=None):
 def load_or_build_tables(
     topology: NetworkTopology, cache_dir=None, workers: int = 1
 ) -> dict[int, RetrievabilityTable]:
-    """Tables for every group, disk-cached."""
-    out = {}
-    for t in range(topology.num_groups):
-        table = load_table(topology, t, cache_dir)
-        if table is None:
-            table = build_retrievability_table(topology, t, workers=workers)
+    """Tables for every group, disk-cached; any miss rebuilds all of them
+    in one pass and saves the missing ones."""
+    tables = {t: load_table(topology, t, cache_dir) for t in range(topology.num_groups)}
+    missing = [t for t, table in tables.items() if table is None]
+    if missing:
+        tables = build_retrievability_tables(topology, workers)
+        for t in missing:
             try:
-                save_table(table, topology, cache_dir)
+                save_table(tables[t], topology, cache_dir)
             except OSError:
                 pass
-        out[t] = table
-    return out
+    return tables
 
 
 def _ranks(keys: np.ndarray, size: int):

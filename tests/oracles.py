@@ -9,6 +9,10 @@ space so N up to 1e5 is safe, and tiny tails are truncated; polynomials
 known to be binomial also carry (n, p) so evaluation can use the exact
 closed form (1-p+p*x)^n, which is what the engines use directly.
 
+Walk-graph peeling: plain per-pattern SIC, one group at a time until no
+group peels, decoding companion pattern indices with its own decoder; the
+reference for the retrievability tables.
+
 Walk-graph pattern sums: the direct 3^(I-1) enumeration of the pattern
 probabilities that the cooperative engine evaluates, collision-free
 (P^(r0)) and rescue (P^(r1)) sums alike, in one pass over the compressed
@@ -44,15 +48,12 @@ import numpy as np
 from frameless.evolution import DEFAULT_MAX_ITER, DEFAULT_TOL
 from frameless.simulator import FrameResult, _make_rng
 from frameless.topology import NetworkTopology, TargetDegreeVector
-from frameless.walkgraph import (
-    _CHUNK,
-    RetrievabilityTable,
-    companion_order,
-    pattern_states,
-)
+from frameless.walkgraph import RetrievabilityTable
 
 # Tail mass below which binomial coefficient sequences are truncated.
 TAIL_TOL = 1e-14
+# Companion patterns decoded at a time by pattern_mass.
+PATTERN_CHUNK = 1 << 16
 
 
 def _binomial_coeffs(n: int, p: float) -> np.ndarray:
@@ -166,6 +167,62 @@ def edge_perspective(d: DegreePolynomial) -> DegreePolynomial:
     return DegreePolynomial(d.coeffs[1:] * ks / mean)
 
 
+def companion_states(num_groups: int, target: int, idx) -> np.ndarray:
+    """(len(idx), I) states of companion pattern indices idx: the target in
+    state 1, the other groups in ascending order, first most significant."""
+    idx = np.array(idx, dtype=np.int64)
+    states = np.ones((len(idx), num_groups), dtype=np.int8)
+    for c in reversed([i for i in range(num_groups) if i != target]):
+        states[:, c] = idx % 3
+        idx //= 3
+    return states
+
+
+def peel_pattern(bs_sets, states) -> tuple[list[bool], list[bool]]:
+    """Walk-graph SIC on one pattern: for each group, whether it peels and
+    whether it starts as a singleton at one of its BSs.
+
+    A state-s group puts s edges on each BS in its set; a state-1 group
+    alone at some BS (edge multiplicity 1) peels and takes its edge off all
+    its BSs. Groups are peeled one at a time until none can be.
+    """
+    states = [int(v) for v in states]
+    mult = {}
+    for bss, s in zip(bs_sets, states):
+        for b in bss:
+            mult[b] = mult.get(b, 0) + s
+
+    def alone(i):
+        return states[i] == 1 and any(mult[b] == 1 for b in bs_sets[i])
+
+    singleton = [alone(i) for i in range(len(states))]
+    peeled = [False] * len(states)
+    progress = True
+    while progress:
+        progress = False
+        for i in range(len(states)):
+            if alone(i):
+                states[i], peeled[i], progress = 0, True, True
+                for b in bs_sets[i]:
+                    mult[b] -= 1
+    return peeled, singleton
+
+
+def reference_table(topology: NetworkTopology, target: int, indices=None):
+    """(retrievable, singleton) of the target at the given companion pattern
+    indices (all 3^(I-1) by default), by plain per-pattern peeling."""
+    n_groups = topology.num_groups
+    if indices is None:
+        indices = np.arange(3 ** (n_groups - 1))
+    bs_sets = [tuple(g.bs_set) for g in topology.groups]
+    retrievable, singleton = [], []
+    for states in companion_states(n_groups, target, indices):
+        peeled, alone = peel_pattern(bs_sets, states)
+        retrievable.append(peeled[target])
+        singleton.append(alone[target])
+    return np.array(retrievable, dtype=bool), np.array(singleton, dtype=bool)
+
+
 def pattern_mass(
     topology: NetworkTopology, target: int, probs_r, probs_c, mask=None
 ) -> float:
@@ -179,11 +236,11 @@ def pattern_mass(
     probs_r = np.asarray(probs_r, dtype=float)
     probs_c = np.asarray(probs_c, dtype=float)
     v = np.stack([probs_r, probs_c, 1.0 - probs_r - probs_c])
-    comps = list(companion_order(n_groups, target))
+    comps = [i for i in range(n_groups) if i != target]
     total = 0.0
-    for lo in range(0, n_pat, _CHUNK):
-        hi = min(lo + _CHUNK, n_pat)
-        states = pattern_states(n_groups, target, lo, hi)
+    for lo in range(0, n_pat, PATTERN_CHUNK):
+        hi = min(lo + PATTERN_CHUNK, n_pat)
+        states = companion_states(n_groups, target, np.arange(lo, hi))
         terms = v[states[:, comps], comps].prod(axis=1)
         if mask is not None:
             terms = terms[mask[lo:hi]]

@@ -16,8 +16,8 @@ the reasons are mathematical rather than implementation gaps:
   probability squared), so the non-cooperative curve can sit below the
   exact cooperative one.
 
-Everything else runs green at the stated tolerances. Long-running
-(hours-scale) M=4 and M=3-optimizer checks are skipped unless
+Everything else runs green at the stated tolerances. The long-running
+M=4 Monte Carlo and M=3-optimizer checks are skipped unless
 FRAMELESS_RUN_LONG=1.
 """
 
@@ -37,10 +37,7 @@ from frameless.evolution import (
 from frameless.optimizer import OptimizationSpec, optimize
 from frameless.simulator import SimulationSpec, monte_carlo
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
-from frameless.walkgraph import (
-    build_retrievability_table,
-    load_or_build_tables,
-)
+from frameless.walkgraph import build_retrievability_tables, load_or_build_tables
 from conftest import long_running, random_topology
 from oracles import closed_form_for_topology, compute_w_coop, pattern_mass
 
@@ -104,12 +101,16 @@ def test_c1_table1_theoretical_peaks():
     assert report("criterion-1 (theoretical peaks M<=3)", ok, "; ".join(details))
 
 
-@long_running
-def test_c1_table1_m4_peak():
-    degrees, expect, _ = TABLE1[4]
+@pytest.fixture(scope="module")
+def m4_coop_peak():
+    degrees, _, _ = TABLE1[4]
     topo = full_topology(4, [10000] * 15)
-    pk = peak_search(topo, degrees, "coop", workers=WORKERS, allow_long=True,
-                     points=21)
+    return peak_search(topo, degrees, "coop", workers=WORKERS, points=21)
+
+
+def test_c1_table1_m4_peak(m4_coop_peak):
+    _, expect, _ = TABLE1[4]
+    pk = m4_coop_peak
     ok = abs(pk.throughput - expect) <= 0.01
     assert report("criterion-1 (M=4 peak)", ok, f"{pk.throughput:.4f} vs {expect}±0.01")
 
@@ -277,6 +278,18 @@ def test_c6_gains_and_bounds():
     ok &= good
     details.append(f"bound-derived Gamma={gamma_lb:.3f} > 1")
     assert report("criterion-6 (gain and bounds)", ok, "; ".join(details))
+
+
+def test_c6_m4_bound_below_coop(m4_coop_peak):
+    degrees, _, _ = TABLE1[4]
+    topo = full_topology(4, [10000] * 15)
+    pk_bound = peak_search(topo, degrees, "bound", points=21)
+    ok = pk_bound.throughput <= m4_coop_peak.throughput + 1e-9
+    assert report(
+        "criterion-6 (M=4 bound <= exact)",
+        ok,
+        f"{pk_bound.throughput:.4f} <= {m4_coop_peak.throughput:.4f}",
+    )
 
 
 # --- criterion 7: comparison against the framed baseline ---
@@ -543,8 +556,8 @@ def test_c9_determinism_under_workers(topo_tiny):
     ra = optimize(ospec, seed=5, workers=1)
     rb = optimize(ospec, seed=5, workers=2)
     ok &= ra.best_g == rb.best_g and ra.history == rb.history
-    ta = build_retrievability_table(topo, 2, workers=1)
-    tb = build_retrievability_table(topo, 2, workers=2)
+    ta = build_retrievability_tables(topo, workers=1)[2]
+    tb = build_retrievability_tables(topo, workers=2)[2]
     ok &= bool(np.array_equal(ta.retrievable, tb.retrievable))
     assert report("criterion-9 (determinism across worker counts)", ok,
                   "simulation, optimization, and table construction identical")

@@ -113,11 +113,21 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
         ("optimize", {"tie_classes": [[0], [0]]}),
         ("analyze", {"degrees": ["three"]}),
         ("analyze", {"t_grid": {"stop": 3000}}),
+        ("analyze", {"mode": "fast"}),
+        ("optimize", {"mode": "fast"}),
+        ("compare", {"trials": 0}),
+        ("simulate", {"t": 0}),
+        ("simulate", {"slot_cap": 0}),
+        ("simulate", {"trials": "many"}),
+        ("bounds", {"m_values": [1], "bound_population": 2}),
     ],
     ids=[
         "simulate-trials-0", "simulate-alpha-above-1", "compare-gbar-empty",
         "compare-gbar-0", "optimize-population-2", "optimize-tie-classes-overlap",
         "analyze-degree-not-a-number", "analyze-t-grid-without-start",
+        "analyze-mode-unknown", "optimize-mode-unknown", "compare-trials-0",
+        "simulate-t-0", "simulate-slot-cap-0", "simulate-trials-not-a-number",
+        "bounds-population-2",
     ],
 )
 def test_config_value_the_library_rejects_is_a_config_error(
@@ -126,7 +136,9 @@ def test_config_value_the_library_rejects_is_a_config_error(
     cfg = small_m1_config(tmp_path, **extra)
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
-    assert "config error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -267,16 +279,19 @@ def test_config_error_exit_code(tmp_path):
     assert run(["analyze", "--config", missing, "--out", tmp_path / "o"]) == EXIT_CONFIG
 
 
-def test_guard_exit_code(tmp_path):
-    # full M=4 exact analysis without --allow-long-running refuses
+def test_guard_exit_code(tmp_path, capsys):
+    # exact analysis of more than 15 groups (16 of a 5-BS network) refuses
     groups = [
-        {"bs_set": [b + 1 for b in range(4) if m >> b & 1], "num_users": 10}
-        for m in range(1, 16)
+        {"bs_set": [b + 1 for b in range(5) if m >> b & 1], "num_users": 10}
+        for m in range(1, 17)
     ]
-    doc = {"topology": {"num_bs": 4, "groups": groups}, "degrees": [0.5] * 15}
-    cfg = tmp_path / "m4.json"
+    doc = {"topology": {"num_bs": 5, "groups": groups}, "degrees": [0.5] * 16}
+    cfg = tmp_path / "m5.json"
     cfg.write_text(json.dumps(doc))
-    assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_GUARD
+    out = tmp_path / "o"
+    assert run(["analyze", "--config", cfg, "--out", out]) == EXIT_GUARD
+    assert "guard refusal:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_shipped_configs_parse():
@@ -286,12 +301,11 @@ def test_shipped_configs_parse():
 
 # Flags each subcommand registers: exactly the ones its command reads.
 OPTIONS = {
-    "analyze": "--config --seed --workers --out --allow-long-running "
-    "--cache-dir --mode --trace --grid-points",
+    "analyze": "--config --seed --workers --out --cache-dir --mode --trace "
+    "--grid-points",
     "simulate": "--config --seed --workers --out",
-    "optimize": "--config --seed --workers --out --fast "
-    "--allow-long-running --cache-dir",
-    "bounds": "--config --seed --workers --out --allow-long-running --cache-dir",
+    "optimize": "--config --seed --workers --out --fast --cache-dir",
+    "bounds": "--config --seed --workers --out --cache-dir",
     "compare": "--config --seed --workers --out",
 }
 
@@ -303,7 +317,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert got == {name: set(flags.split()) for name, flags in OPTIONS.items()}
-    assert sum(map(len, got.values())) == 30
+    assert sum(map(len, got.values())) == 27
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,6 @@ from frameless.evolution import (
     peak_t,
     simultaneous_transmission_degrees,
 )
-from frameless.walkgraph import GuardError
 from frameless.topology import (
     GroupSpec,
     NetworkTopology,
@@ -270,12 +269,6 @@ def test_fused_noncoop_kernel_matches_per_bs_products():
             others = [o for o, (_, jj) in enumerate(pairs) if jj == j and o != k]
             expected = 1.0 - rho[:, k] * big_r[:, others].prod(axis=1)
             assert np.allclose(w[:, k], expected, rtol=0.0, atol=1e-12)
-
-
-def test_guard_without_allow_long():
-    topo8 = NetworkTopology(4, tuple(GroupSpec(m, 5) for m in range(1, 9)))
-    with pytest.raises(GuardError):
-        CoopEngine(topo8)
 
 
 def test_plr_curve_header_and_peak(topo_m1):

@@ -13,7 +13,7 @@ from frameless.walkgraph import (
     GuardError,
     PatternDag,
     RetrievabilityTable,
-    build_retrievability_table,
+    build_retrievability_tables,
     companion_order,
     load_or_build_tables,
     load_table,
@@ -21,7 +21,7 @@ from frameless.walkgraph import (
     save_table,
 )
 from conftest import edge_topologies, random_topology
-from oracles import compute_w_coop, pattern_mass
+from oracles import compute_w_coop, pattern_mass, reference_table
 
 # appendix group convention: positions 0..6 are
 # {1},{2},{3},{1,2},{2,3},{1,3},{1,2,3}
@@ -48,7 +48,7 @@ def test_single_collided_packet_rescued():
     # u1 and u7 hold one un-retrieved packet each, u2 collides, rest silent:
     # u7 is a singleton at BS 3, peels, then u1 becomes a singleton at BS 1.
     topo = appendix_m3()
-    table = build_retrievability_table(topo, target=0)
+    table = build_retrievability_tables(topo)[0]
     states = [1, 2, 0, 0, 0, 0, 1]
     k = pattern_index(states, 0, 7)
     assert table.retrievable[k]
@@ -57,7 +57,7 @@ def test_single_collided_packet_rescued():
 
 def test_all_silent_companions_retrievable():
     topo = appendix_m3()
-    table = build_retrievability_table(topo, target=0)
+    table = build_retrievability_tables(topo)[0]
     k = pattern_index([1, 0, 0, 0, 0, 0, 0], 0, 7)
     assert table.retrievable[k]
     assert table.singleton[k]
@@ -66,7 +66,7 @@ def test_all_silent_companions_retrievable():
 def test_all_neighbors_collided_blocked():
     # every group sharing a BS with the target is in state 2
     topo = appendix_m3()
-    table = build_retrievability_table(topo, target=0)
+    table = build_retrievability_tables(topo)[0]
     # target u1 at BS1; groups at BS1: u4={1,2}, u6={1,3}, u7={1,2,3}
     states = [1, 0, 0, 2, 0, 2, 2]
     assert not table.retrievable[pattern_index(states, 0, 7)]
@@ -75,7 +75,7 @@ def test_all_neighbors_collided_blocked():
 def test_triple_group_never_rescued():
     # the all-BS group can only be retrieved collision-free
     topo = appendix_m3()
-    table = build_retrievability_table(topo, target=6)
+    table = build_retrievability_tables(topo)[6]
     assert not table.rescue.any()
 
 
@@ -86,21 +86,26 @@ def test_guard_on_too_many_groups():
         num_groups = wg.MAX_GROUPS + 1
 
     with pytest.raises(GuardError):
-        build_retrievability_table(Fake(), 0)
+        build_retrievability_tables(Fake())
 
 
-def test_table_shape_and_chunking():
-    topo = full_topology(2, [5, 5, 5])
-    t_serial = build_retrievability_table(topo, 0, workers=1)
-    t_parallel = build_retrievability_table(topo, 0, workers=2)
-    assert len(t_serial.retrievable) == 9
-    assert np.array_equal(t_serial.retrievable, t_parallel.retrievable)
-    assert np.array_equal(t_serial.singleton, t_parallel.singleton)
+def test_table_shape_and_chunking(monkeypatch):
+    import frameless.walkgraph as wg
+
+    topo = full_topology(3, [5] * 7)
+    t_serial = build_retrievability_tables(topo, workers=1)
+    monkeypatch.setattr(wg, "_CHUNK", 100)  # 22 chunks over 3^7 patterns
+    t_parallel = build_retrievability_tables(topo, workers=2)
+    assert sorted(t_serial) == list(range(7))
+    for t in range(7):
+        assert len(t_serial[t].retrievable) == 3**6
+        assert np.array_equal(t_serial[t].retrievable, t_parallel[t].retrievable)
+        assert np.array_equal(t_serial[t].singleton, t_parallel[t].singleton)
 
 
 def test_cache_roundtrip(tmp_path):
     topo = full_topology(2, [5, 5, 5])
-    table = build_retrievability_table(topo, 1)
+    table = build_retrievability_tables(topo)[1]
     save_table(table, topo, cache_dir=tmp_path)
     loaded = load_table(topo, 1, cache_dir=tmp_path)
     assert loaded is not None
@@ -117,7 +122,7 @@ def test_cache_roundtrip(tmp_path):
 @pytest.mark.parametrize("damage", ["truncated", "empty"])
 def test_damaged_cache_file_rebuilt(tmp_path, damage):
     topo = full_topology(2, [5, 5, 5])
-    path = save_table(build_retrievability_table(topo, 1), topo, cache_dir=tmp_path)
+    path = save_table(build_retrievability_tables(topo)[1], topo, cache_dir=tmp_path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2] if damage == "truncated" else b"")
     assert load_table(topo, 1, cache_dir=tmp_path) is None
@@ -132,8 +137,8 @@ def test_cache_file_of_other_topology_rebuilt(tmp_path):
     other = NetworkTopology(
         num_bs=2, groups=(GroupSpec(0b11, 5), GroupSpec(0b01, 5), GroupSpec(0b10, 5))
     )
-    stale = build_retrievability_table(topo, 1)
-    expected = build_retrievability_table(other, 1)
+    stale = build_retrievability_tables(topo)[1]
+    expected = build_retrievability_tables(other)[1]
     assert not np.array_equal(stale.retrievable, expected.retrievable)
     path = save_table(stale, topo, cache_dir=tmp_path)
     path.rename(
@@ -153,7 +158,7 @@ def test_cache_file_of_other_topology_rebuilt(tmp_path):
 def test_flipped_payload_byte_rebuilt(tmp_path):
     # the archive stays valid; only the stored checksum catches the flip
     topo = full_topology(2, [5, 5, 5])
-    expected = build_retrievability_table(topo, 1)
+    expected = build_retrievability_tables(topo)[1]
     path = save_table(expected, topo, cache_dir=tmp_path)
     with np.load(path) as z:
         arrays = dict(z)
@@ -170,7 +175,7 @@ def test_flipped_payload_byte_rebuilt(tmp_path):
 
 def _save_repeatedly(cache_dir, barrier):
     topo = full_topology(2, [5, 5, 5])
-    tables = [build_retrievability_table(topo, t) for t in range(3)]
+    tables = build_retrievability_tables(topo).values()
     barrier.wait()
     for _ in range(30):
         for table in tables:
@@ -197,7 +202,7 @@ def test_concurrent_writers(tmp_path):
         loaded = load_table(topo, t, cache_dir=tmp_path)
         assert loaded is not None
         assert np.array_equal(
-            loaded.retrievable, build_retrievability_table(topo, t).retrievable
+            loaded.retrievable, build_retrievability_tables(topo)[t].retrievable
         )
 
 
@@ -240,7 +245,7 @@ def test_dag_matches_direct_sum(seed):
     topo = random_topology(rng)
     n = topo.num_groups
     target = int(rng.integers(n))
-    table = build_retrievability_table(topo, target)
+    table = build_retrievability_tables(topo)[target]
     r = rng.random(n)
     c = rng.random(n) * (1 - r)
     v = np.stack([r, c, 1 - r - c])
@@ -252,7 +257,7 @@ def test_dag_matches_direct_sum(seed):
 
 def test_dag_batch_evaluation():
     topo = full_topology(2, [4, 4, 4])
-    table = build_retrievability_table(topo, 2)
+    table = build_retrievability_tables(topo)[2]
     dag = PatternDag(table.retrievable[None], [companion_order(3, 2)])
     rng = np.random.default_rng(3)
     r = rng.random((3, 5))
@@ -269,7 +274,7 @@ def test_fused_dag_matches_per_root_direct_sums():
     saw_no_companions = saw_empty_mask = False
     for topo in topos:
         n = topo.num_groups
-        tables = [build_retrievability_table(topo, i) for i in range(n)]
+        tables = list(build_retrievability_tables(topo).values())
         comps = [companion_order(n, i) for i in range(n)]
         r = rng.random((n, 4))
         c = rng.random((n, 4)) * (1 - r)
@@ -291,12 +296,38 @@ def test_fused_dag_matches_per_root_direct_sums():
 
 
 def test_pattern_states_mixed_radix():
-    states = pattern_states(3, 1, 0, 9)
-    # companions are groups 0 and 2; group 0 is the most significant digit
-    assert states[0].tolist() == [0, 1, 0]
-    assert states[1].tolist() == [0, 1, 1]
-    assert states[3].tolist() == [1, 1, 0]
-    assert states[8].tolist() == [2, 1, 2]
+    states = pattern_states(3, 0, 27)
+    # group 0 is the most significant digit
+    assert states[0].tolist() == [0, 0, 0]
+    assert states[1].tolist() == [0, 0, 1]
+    assert states[3].tolist() == [0, 1, 0]
+    assert states[13].tolist() == [1, 1, 1]
+    assert states[26].tolist() == [2, 2, 2]
+    assert pattern_states(3, 9, 12).tolist() == [[1, 0, 0], [1, 0, 1], [1, 0, 2]]
+
+
+def test_tables_match_per_pattern_peeling():
+    rng = np.random.default_rng(17)
+    topos = [full_topology(m, [5] * (2**m - 1)) for m in (1, 2, 3)]
+    topos += edge_topologies() + [random_topology(rng) for _ in range(25)]
+    for topo in topos:
+        tables = build_retrievability_tables(topo)
+        assert sorted(tables) == list(range(topo.num_groups))
+        for t, table in tables.items():
+            retrievable, singleton = reference_table(topo, t)
+            assert np.array_equal(table.retrievable, retrievable), (topo, t)
+            assert np.array_equal(table.singleton, singleton), (topo, t)
+
+
+def test_full_m4_tables_match_per_pattern_peeling_at_sampled_patterns():
+    topo = full_topology(4, [5] * 15)
+    tables = load_or_build_tables(topo)
+    rng = np.random.default_rng(4)
+    for t, table in tables.items():
+        idx = rng.integers(0, 3**14, size=2000)
+        retrievable, singleton = reference_table(topo, t, idx)
+        assert np.array_equal(table.retrievable[idx], retrievable), t
+        assert np.array_equal(table.singleton[idx], singleton), t
 
 
 def test_rc_sum_above_one_rejected():
