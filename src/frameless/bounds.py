@@ -60,11 +60,15 @@ def _quadratic_form3(p: np.ndarray, d: np.ndarray, o: np.ndarray) -> np.ndarray:
     b = o[1:4] * o[2:5] - d[:3] * o[:3]  # cofactor of each o_i
     det = d[0] * a[0] + o[2] * b[2] + o[1] * b[1]
     norms = d[:3] * d[:3] + oo[1:4] + oo[2:5]  # squared row norms
-    singular = np.abs(det) <= PIVOT_TOL * np.sqrt(norms.prod(axis=0))
+    singular = np.abs(det) <= PIVOT_TOL * np.sqrt(np.multiply.reduce(norms, axis=0))
     pa = p[:3] * p[:3] * a
     pb = 2.0 * p[1:4] * p[2:5] * b
     num = pa[0] + pb[2] + pa[1] + (pa[2] + pb[0] + pb[1])
-    out = np.where(singular, p[:3].max(axis=0), num / np.where(singular, 1.0, det))
+    if singular.any():
+        det = np.where(singular, 1.0, det)
+        out = np.where(singular, np.maximum.reduce(p[:3], axis=0), num / det)
+    else:
+        out = num / det
     return np.minimum(np.maximum(out, 0.0), np.minimum(1.0, p[0] + p[1] + p[2]))
 
 
@@ -113,8 +117,8 @@ class BoundEngine(_EngineBase):
         # Rows on the last axis; ext appends a column of ones and of zeros.
         ext = np.empty((big_r.shape[1] + 2, len(big_r)))
         ext[:-2] = big_r.T
-        ext[-2:] = [[1.0], [0.0]]
-        terms = rho.T * np.multiply.reduce(ext[self._idx], axis=0)
+        ext[-2], ext[-1] = 1.0, 0.0
+        terms = rho.T * np.multiply.reduce(ext.take(self._idx, axis=0), axis=0)
         p = terms[:5]
         w = (1.0 - _quadratic_form3(p, p + self._pad, terms[5:])).T
         for m, targets, idx in self._large:

@@ -99,14 +99,20 @@ def _mode_from(doc: dict) -> str:
     return mode
 
 
+def _parsed(doc: dict, key: str, default, parse=float):
+    """parse(the config's `key`, else default); a value it cannot parse is a
+    config error."""
+    try:
+        return parse(doc.get(key, default))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"cannot read '{key}': {e}") from e
+
+
 def _count(doc: dict, key: str, default=None):
     """The config's integer `key`, which must be >= 1, else default."""
     if key not in doc:
         return default
-    try:
-        value = int(doc[key])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"'{key}' must be an integer: {e}") from e
+    value = _parsed(doc, key, None, int)
     if value < 1:
         raise ConfigError(f"'{key}' must be >= 1, got {value}")
     return value
@@ -174,8 +180,7 @@ def cmd_analyze(args) -> int:
     mode = args.mode or _mode_from(doc)
     if args.trace and mode != "coop":
         raise ConfigError("--trace requires cooperative mode")
-    if args.trace and int(doc.get("trace_t", 1)) < 1:
-        raise ConfigError("'trace_t' must be >= 1")
+    trace_t = _count(doc, "trace_t") if args.trace else None
     degrees = _degrees_from(doc, topology)
     t_vals = _t_values(doc, args.grid_points)
     out_dir = Path(args.out)
@@ -199,7 +204,7 @@ def cmd_analyze(args) -> int:
     }
     _emit_json(out_dir / "peak.json", doc, payload, args)
     if args.trace:
-        trace_t = int(doc.get("trace_t", peak.t_star))
+        trace_t = trace_t or peak.t_star
         res = evolve(topology, degrees, trace_t, engine=engine, trace=True)
         n_groups = topology.num_groups
         header = "iteration," + ",".join(
@@ -234,7 +239,7 @@ def cmd_simulate(args) -> int:
         replica = tuple(sorted((int(k), float(v)) for k, v in raw.items()))
     else:
         degrees = _degrees_from(doc, topology)
-    alpha = float(doc.get("alpha", 0.8))
+    alpha = _parsed(doc, "alpha", 0.8)
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"'alpha' must be in (0, 1], got {alpha}")
     trials = _count(doc, "trials", 100)
@@ -275,7 +280,7 @@ def cmd_optimize(args) -> int:
     try:
         spec = OptimizationSpec(
             topology=topology,
-            alpha=float(doc.get("alpha", 0.8)),
+            alpha=_parsed(doc, "alpha", 0.8),
             mode=_mode_from(doc),
             tie_classes=tuple(tuple(c) for c in tie) if tie else None,
             bounds=tuple(doc.get("bounds", (0.0, 4.0))),
@@ -311,16 +316,16 @@ def cmd_optimize(args) -> int:
 
 def cmd_bounds(args) -> int:
     doc = _load_config(args.config)
-    m_values = [int(m) for m in doc.get("m_values", [1, 2, 3, 4])]
-    n_per_group = int(doc.get("num_users_per_group", 10000))
-    g_single = float(doc.get("noncoop_degree", 3.098))
+    m_values = _parsed(doc, "m_values", [1, 2, 3, 4], lambda ms: [int(m) for m in ms])
+    n_per_group = _parsed(doc, "num_users_per_group", 10000, int)
+    g_single = _parsed(doc, "noncoop_degree", 3.098)
     exact_g = doc.get("exact_degrees", {})
     try:  # the bound search's DE settings, checked before any work
         bound_specs = [
             OptimizationSpec(
                 topology=full_topology(m, [n_per_group] * (2**m - 1)),
                 mode="bound",
-                alpha=float(doc.get("alpha", 0.8)),
+                alpha=_parsed(doc, "alpha", 0.8),
                 population=int(doc.get("bound_population", 30)),
                 generations=int(doc.get("bound_generations", 10)),
             )
@@ -375,7 +380,8 @@ def cmd_compare(args) -> int:
     degrees = _degrees_from(doc, topology)
     raw = doc.get("replica_dist", {"2": 1.0})
     replica = tuple(sorted((int(k), float(v)) for k, v in raw.items()))
-    gbars = [float(v) for v in doc.get("gbar_values", [0.5, 0.6, 0.7, 0.75, 0.8, 0.9])]
+    gbars = _parsed(doc, "gbar_values", [0.5, 0.6, 0.7, 0.75, 0.8, 0.9],
+                    lambda gs: [float(g) for g in gs])
     if not gbars or min(gbars) <= 0:
         raise ConfigError("'gbar_values' needs at least one value, each > 0")
     trials = _count(doc, "trials", 10)

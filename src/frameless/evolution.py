@@ -53,16 +53,11 @@ def _check_unit(name: str, arr: np.ndarray):
 
 def _padded(lists, fill: int) -> np.ndarray:
     """Index lists as one (len(lists), max(1, longest)) array, each row
-    padded at its end with fill. Kernels pad with the index of the ones
-    column that `_with_ones` appends, so a padded factor multiplies by 1."""
+    padded at its end with fill."""
     out = np.full((len(lists), max(1, *map(len, lists))), fill, dtype=np.intp)
     for r, row in enumerate(lists):
         out[r, : len(row)] = row
     return out
-
-
-def _with_ones(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, np.ones((len(a), 1))], axis=1)
 
 
 class _RowPool:
@@ -85,8 +80,9 @@ class _RowPool:
         n = len(self.columns)
         self.keys = np.empty(0, dtype=np.intp)
         self.p = self.q = self.x = np.empty((0, n))
-        self.tm1 = np.empty((0, 1), dtype=np.int64)
-        self.iters = np.empty(0, dtype=np.int64)
+        self.tm1 = np.empty((0, 1))  # T - 1 as a float, so the power casts nothing
+        self.start = np.empty(0, dtype=np.int64)  # clock when the row joined
+        self.clock = self.first = 0  # first <= the start of every row in the pool
 
     def __len__(self):
         return len(self.keys)
@@ -101,8 +97,8 @@ class _RowPool:
         self.p = np.concatenate([self.p, p])
         self.q = np.concatenate([self.q, 1.0 - p])
         self.x = np.concatenate([self.x, np.ones(p.shape)])
-        self.tm1 = np.concatenate([self.tm1, t[:, None] - 1])
-        self.iters = np.concatenate([self.iters, np.zeros(len(t), dtype=np.int64)])
+        self.tm1 = np.concatenate([self.tm1, t[:, None] - 1.0])
+        self.start = np.concatenate([self.start, np.full(len(t), self.clock)])
 
     def step(self):
         """Run one iteration of every row. Returns (keys, x, w, iterations,
@@ -112,16 +108,20 @@ class _RowPool:
         p, x = self.p, self.x
         base = 1.0 - p * x
         w = self.w_of(x, p, base**self.counts, base**self.nm1)
-        if w.min() < 0.0 or w.max() > 1.0:  # clipping a w in range changes no bit
-            _check_unit("w", w)
+        if np.minimum.reduce(w, axis=None) < 0.0 or np.maximum.reduce(w, axis=None) > 1.0:
+            _check_unit("w", w)  # clipping a w in range changes no bit
             np.clip(w, 0.0, 1.0, out=w)
         self.x = (self.q + p * w) ** self.tm1
-        self.iters += 1
-        done = np.maximum.reduce(np.abs(self.x - x), axis=1) < self.tol
-        leave = done | (self.iters >= self.max_iter)
+        self.clock += 1
+        delta = self.x - x
+        leave = done = np.maximum.reduce(np.abs(delta, out=delta), axis=1) < self.tol
+        if self.clock - self.first >= self.max_iter:  # the oldest row may be at max_iter
+            leave = done | (self.clock - self.start >= self.max_iter)
+            self.first = self.start[~leave].min(initial=self.clock)
         if not leave.any():
             return None
-        out = (self.keys[leave], self.x[leave], w[leave], self.iters[leave], done[leave])
+        iters = self.clock - self.start[leave]
+        out = (self.keys[leave], self.x[leave], w[leave], iters, done[leave])
         self._keep(~leave)
         return out
 
@@ -130,8 +130,8 @@ class _RowPool:
         self._keep(~np.isin(self.keys, keys))
 
     def _keep(self, stay):
-        self.keys, self.p, self.q, self.x, self.tm1, self.iters = (
-            a[stay] for a in (self.keys, self.p, self.q, self.x, self.tm1, self.iters)
+        self.keys, self.p, self.q, self.x, self.tm1, self.start = (
+            a[stay] for a in (self.keys, self.p, self.q, self.x, self.tm1, self.start)
         )
 
 
@@ -246,31 +246,18 @@ class CoopEngine(_EngineBase):
 
     def _p_r(self, big_r: np.ndarray, big_c: np.ndarray):
         """(P^(r0), P^(r1)) per row and target from one pass over the DAG."""
-        v = np.array([big_r.T, big_c.T, (1.0 - big_r - big_c).T])
-        return np.split(self.dag.evaluate(v).T, 2, axis=1)
+        v = np.empty((3, *big_r.T.shape))
+        v[0], v[1] = big_r.T, big_c.T
+        np.subtract(1.0 - v[0], v[1], out=v[2])
+        out = self.dag.evaluate(v)
+        n = len(out) // 2
+        return out[:n].T, out[n:].T
 
     def _w(self, xa, pa, big_r, rho, trace=None):
-        big_c = xa * self.counts * pa * rho
-        p0, p1 = self._p_r(big_r, big_c)
+        p0, p1 = self._p_r(big_r, xa * self.counts * pa * rho)
         if trace is not None:
             trace.append((rho[0] * p0[0], rho[0] * p1[0]))
         return 1.0 - rho * (p0 + p1)
-
-
-def _leave_one_out(a: np.ndarray) -> np.ndarray:
-    """Per-entry product of all other entries on the last axis, without
-    division."""
-    k = a.shape[-1]
-    if k == 1:
-        return np.ones_like(a)
-    fwd = np.cumprod(a, axis=-1)
-    bwd = np.cumprod(a[..., ::-1], axis=-1)[..., ::-1]
-    out = np.empty_like(a)
-    out[..., 0] = bwd[..., 1]
-    out[..., -1] = fwd[..., -2]
-    if k > 2:
-        out[..., 1:-1] = fwd[..., :-2] * bwd[..., 2:]
-    return out
 
 
 class NoncoopEngine(_EngineBase):
@@ -284,26 +271,31 @@ class NoncoopEngine(_EngineBase):
             for j in topology.groups[i].bs_set
         ]
         self.columns = np.array([i for i, _ in pairs], dtype=np.intp)
-        # (M, k_max) pair indices per BS, padded at the end with the index
-        # of an appended column of ones; padding there leaves the forward
-        # and backward products of the real entries exact.
+        # Per BS, its pairs' indices between two end entries and padded at
+        # the end, as an (M, k_max + 2) array. The ends and the padding
+        # gather 1, so the forward and backward running products hold
+        # every pair's leave-one-out product exactly, as for an unpadded BS.
+        n = len(pairs)
         self._bs_idx = _padded(
-            [[k for k, (_, j) in enumerate(pairs) if j == b]
+            [[n, *(k for k, (_, j) in enumerate(pairs) if j == b), n]
              for b in range(1, topology.num_bs + 1)],
-            len(pairs),
+            n,
         )
-        self._bs_real = self._bs_idx < len(pairs)
-        self._pair_at = self._bs_idx[self._bs_real]
+        self._bs_one = self._bs_idx == n
+        # Each pair's entry in the flattened (M, k_max) leave-one-out array.
+        self._loo_at = np.argsort(self._bs_idx[:, 1:-1], axis=None)[:n]
         # Pairs are emitted group-major, so per-group reduction is contiguous.
         self.group_offsets = np.searchsorted(
             self.columns, np.arange(topology.num_groups)
         )
 
     def _w(self, xa, pa, big_r, rho):
-        loo = _leave_one_out(_with_ones(big_r)[:, self._bs_idx])[:, self._bs_real]
-        wa = np.empty_like(xa)
-        wa[:, self._pair_at] = 1.0 - rho[:, self._pair_at] * loo
-        return wa
+        ext = big_r.take(self._bs_idx, axis=1, mode="clip")
+        ext[:, self._bs_one] = 1.0
+        fwd = np.multiply.accumulate(ext, axis=-1)
+        bwd = np.multiply.accumulate(ext[..., ::-1], axis=-1)[..., ::-1]
+        loo = (fwd[..., :-2] * bwd[..., 2:]).reshape(len(big_r), -1)
+        return 1.0 - rho * loo.take(self._loo_at, axis=1)
 
 
 def make_engine(
@@ -494,18 +486,19 @@ def batched_peak_search(
     # Phase of the step after the committed one, and after the provisional.
     phase, nxt_phase = [None] * n, [None] * n
     best = [None] * n  # (throughput, -T) of the best finished committed row
+    first = sorted(set(np.asarray(t_grid, dtype=np.int64).tolist()))
+    asked = [set(first) for _ in p_mat]  # the T of seen and cur
     # Keys (T * n + c) of rows that join and leave before the next iteration.
     joins, drops = [], []
 
     def plan(c):
         old = nxt[c]
-        step = _next_request(phase[c], seen[c].keys() | cur[c].keys(), -best[c][1])
+        step = _next_request(phase[c], asked[c], -best[c][1])
         ts, nxt_phase[c] = step or ((), None)
         nxt[c] = {t: old.get(t) for t in ts}
         drops.extend(t * n + c for t, r in old.items() if r is None and t not in nxt[c])
         joins.extend(t * n + c for t in ts if t not in old)
 
-    first = sorted(set(np.asarray(t_grid, dtype=np.int64).tolist()))
     for c in range(n):
         cur[c], phase[c] = dict.fromkeys(first), ("edge", 0)
         joins.extend(t * n + c for t in first)
@@ -521,16 +514,12 @@ def batched_peak_search(
         if left is None:
             continue
         gone, x, w, iters, conv = left
-        cands, ts = gone % n, gone // n
+        ts, cands = np.divmod(gone, n)
         out = engine._finish(p_mat[cands], ts, w, x, iters, conv)
         moved = {}  # candidate -> whether its best changed
-        for k, (c, t) in enumerate(zip(cands.tolist(), ts.tolist())):
-            r = (
-                float(out.throughput[k]),
-                float(out.plr_avg[k]),
-                out.plr_groups[k],
-                bool(out.converged[k]),
-            )
+        rows = zip(out.throughput.tolist(), out.plr_avg.tolist(), out.plr_groups,
+                   out.converged.tolist())
+        for c, t, r in zip(cands.tolist(), ts.tolist(), rows):
             if t in nxt[c]:
                 nxt[c][t] = r
                 continue
@@ -545,6 +534,7 @@ def batched_peak_search(
             while cur[c] and None not in cur[c].values():  # commit
                 seen[c].update(cur[c])
                 cur[c], phase[c], nxt[c] = nxt[c], nxt_phase[c], {}
+                asked[c].update(cur[c])
                 for t, r in cur[c].items():
                     if r is not None:
                         best[c] = max(best[c], (r[0], -t))

@@ -311,7 +311,8 @@ class PatternDag:
         vals = np.zeros((2,) + v.shape[2:])
         vals[1] = 1.0
         for children, grp in zip(self.children, self.groups):
-            terms = np.take(vals, children, axis=0)
-            terms *= np.take(v, grp, axis=1)
-            vals = terms[0] + terms[1] + terms[2]
+            terms = vals.take(children, axis=0)
+            terms *= v.take(grp, axis=1)
+            # A reduce over the leading axis adds (t0 + t1) + t2 in order.
+            vals = np.add.reduce(terms, axis=0)
         return vals[self.roots]

@@ -25,6 +25,15 @@ u2={2}, u3={3}, u4={1,2}, u5={2,3}, u6={1,3}, u7={1,2,3}. Targets 2, 3, 5
 and 6 follow from targets 1 and 4 by permuting BS labels. Used as an
 independent oracle against the walk-graph enumeration.
 
+Fixed-point kernels in their plain form, the bit-exact references for
+the engines' w kernels and `PatternDag.evaluate`: every level of the DAG
+gathers through `np.take` and adds its three states term by term, the
+cooperative kernel stacks its inputs through a list and splits the DAG
+output with `np.split`, the non-cooperative kernel appends a column of
+ones to R on each call and takes the leave-one-out products from two
+running products, and the bound kernel always computes both branches of
+its singular-system fallback.
+
 Lockstep peak search, the reference for the streamed
 `frameless.evolution.batched_peak_search`: all candidates advance through
 the same rounds, each round one `evaluate` call over every candidate's
@@ -35,6 +44,9 @@ Slot-by-slot simulator, the reference for the vectorized peeler of
 group probability, a transmission lands in the bucket of every BS the
 group reaches, and joint SIC runs to fixpoint after each slot in per-user
 Python; retrieved users are never sampled again.
+
+Tiny-instance enumeration by a per-realization loop, the reference for the
+bit-parallel enumeration of the criterion-8 checks.
 """
 
 from __future__ import annotations
@@ -45,7 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from frameless.evolution import DEFAULT_MAX_ITER, DEFAULT_TOL
+from frameless.bounds import PIVOT_TOL, _union_lower_bound
+from frameless.evolution import DEFAULT_MAX_ITER, DEFAULT_TOL, _padded
 from frameless.simulator import FrameResult, _make_rng
 from frameless.topology import NetworkTopology, TargetDegreeVector
 from frameless.walkgraph import RetrievabilityTable
@@ -537,6 +550,103 @@ def _frameless_run(
     )
 
 
+def dag_evaluate(dag, v: np.ndarray) -> np.ndarray:
+    """`PatternDag.evaluate`: v has shape (3, I) or (3, I, B); returns (R,)
+    or (R, B) sums."""
+    vals = np.zeros((2,) + v.shape[2:])
+    vals[1] = 1.0
+    for children, grp in zip(dag.children, dag.groups):
+        terms = np.take(vals, children, axis=0)
+        terms *= np.take(v, grp, axis=1)
+        vals = terms[0] + terms[1] + terms[2]
+    return vals[dag.roots]
+
+
+def coop_p_r(engine, big_r: np.ndarray, big_c: np.ndarray):
+    """`CoopEngine._p_r`: (P^(r0), P^(r1)) per row and target."""
+    v = np.array([big_r.T, big_c.T, (1.0 - big_r - big_c).T])
+    return np.split(dag_evaluate(engine.dag, v).T, 2, axis=1)
+
+
+def coop_w(engine, xa, pa, big_r, rho):
+    """`CoopEngine._w`."""
+    big_c = xa * engine.counts * pa * rho
+    p0, p1 = coop_p_r(engine, big_r, big_c)
+    return 1.0 - rho * (p0 + p1)
+
+
+def _with_ones(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, np.ones((len(a), 1))], axis=1)
+
+
+def _leave_one_out(a: np.ndarray) -> np.ndarray:
+    """Per-entry product of all other entries on the last axis, without
+    division."""
+    k = a.shape[-1]
+    if k == 1:
+        return np.ones_like(a)
+    fwd = np.cumprod(a, axis=-1)
+    bwd = np.cumprod(a[..., ::-1], axis=-1)[..., ::-1]
+    out = np.empty_like(a)
+    out[..., 0] = bwd[..., 1]
+    out[..., -1] = fwd[..., -2]
+    if k > 2:
+        out[..., 1:-1] = fwd[..., :-2] * bwd[..., 2:]
+    return out
+
+
+def noncoop_w(engine, xa, pa, big_r, rho):
+    """`NoncoopEngine._w` over the engine's (group, BS) pair columns."""
+    topology = engine.topology
+    pairs = [(i, j) for i in range(topology.num_groups) for j in topology.groups[i].bs_set]
+    # (M, k_max) pair indices per BS, padded at the end with the index of
+    # the appended column of ones.
+    bs_idx = _padded(
+        [[k for k, (_, j) in enumerate(pairs) if j == b]
+         for b in range(1, topology.num_bs + 1)],
+        len(pairs),
+    )
+    bs_real = bs_idx < len(pairs)
+    pair_at = bs_idx[bs_real]
+    loo = _leave_one_out(_with_ones(big_r)[:, bs_idx])[:, bs_real]
+    wa = np.empty_like(xa)
+    wa[:, pair_at] = 1.0 - rho[:, pair_at] * loo
+    return wa
+
+
+def quadratic_form3(p: np.ndarray, d: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """`bounds._quadratic_form3`: p Q^-1 p^t for stacked symmetric 3x3
+    systems from 2x2 cofactors, max_j p_j where Q is numerically singular,
+    clamped into [0, min(1, sum_j p_j)]."""
+    oo = o * o
+    a = d[1:4] * d[2:5] - oo[:3]  # diagonal cofactors
+    b = o[1:4] * o[2:5] - d[:3] * o[:3]  # cofactor of each o_i
+    det = d[0] * a[0] + o[2] * b[2] + o[1] * b[1]
+    norms = d[:3] * d[:3] + oo[1:4] + oo[2:5]  # squared row norms
+    singular = np.abs(det) <= PIVOT_TOL * np.sqrt(norms.prod(axis=0))
+    pa = p[:3] * p[:3] * a
+    pb = 2.0 * p[1:4] * p[2:5] * b
+    num = pa[0] + pb[2] + pa[1] + (pa[2] + pb[0] + pb[1])
+    out = np.where(singular, p[:3].max(axis=0), num / np.where(singular, 1.0, det))
+    return np.minimum(np.maximum(out, 0.0), np.minimum(1.0, p[0] + p[1] + p[2]))
+
+
+def bound_w(engine, xa, pa, big_r, rho):
+    """`BoundEngine._w`."""
+    ext = np.empty((big_r.shape[1] + 2, len(big_r)))
+    ext[:-2] = big_r.T
+    ext[-2:] = [[1.0], [0.0]]
+    terms = rho.T * np.multiply.reduce(ext[engine._idx], axis=0)
+    p = terms[:5]
+    w = (1.0 - quadratic_form3(p, p + engine._pad, terms[5:])).T
+    for m, targets, idx in engine._large:
+        q = rho[:, targets, None] * np.multiply.reduce(ext.T[:, idx], axis=-1)
+        q = q.reshape(-1, m, m)
+        bound = _union_lower_bound(q.diagonal(axis1=1, axis2=2), q)
+        w[:, targets] = 1.0 - bound.reshape(len(xa), -1)
+    return w
+
+
 def batched_peak_search(
     engine,
     p_mat: np.ndarray,
@@ -626,3 +736,34 @@ def batched_peak_search(
         ]
     )
     return seen
+
+
+def tiny_distribution_by_loop(t_slots: int) -> np.ndarray:
+    """All 2^(6*T) equiprobable realizations of the 6-user network of
+    criterion 8 at p=1/2 (two users in each of the groups {1}, {2} and
+    {1, 2}), joint SIC on each: the distribution of the retrieved count."""
+    groups_of_user = [0, 0, 1, 1, 2, 2]
+    bs_of_group = [(0,), (1,), (0, 1)]
+    n_pat = 2 ** (6 * t_slots)
+    dist = np.zeros(7)
+    for idx in range(n_pat):
+        buckets = {}
+        for u in range(6):
+            for t in range(t_slots):
+                if idx >> (u * t_slots + t) & 1:
+                    for b in bs_of_group[groups_of_user[u]]:
+                        buckets.setdefault((b, t), set()).add(u)
+        alive = [True] * 6
+        changed = True
+        while changed:
+            changed = False
+            for members in buckets.values():
+                if len(members) == 1:
+                    (u,) = members
+                    for m2 in buckets.values():
+                        m2.discard(u)
+                    alive[u] = False
+                    changed = True
+                    break
+        dist[6 - sum(alive)] += 1
+    return dist / n_pat

@@ -39,7 +39,12 @@ from frameless.simulator import SimulationSpec, monte_carlo
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
 from frameless.walkgraph import build_retrievability_tables, load_or_build_tables
 from conftest import long_running, random_topology
-from oracles import closed_form_for_topology, compute_w_coop, pattern_mass
+from oracles import (
+    closed_form_for_topology,
+    compute_w_coop,
+    pattern_mass,
+    tiny_distribution_by_loop,
+)
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -380,32 +385,42 @@ def test_c7_plr_waterfall_sandwich(compare_sweep):
 
 def _enumerate_tiny_distribution(t_slots):
     """All 2^(6*T) equiprobable realizations of the 6-user network at
-    p=1/2, joint SIC on each; independent of the simulator's machinery."""
+    p=1/2, joint SIC on each; independent of the simulator's machinery.
+
+    Bit u*T + t of a realization's index says whether user u transmits in
+    slot t. Every realization is one entry of an int64 array: each (BS,
+    slot) bucket holds the bitmask of the users in it, and a round peels
+    every bucket that holds one live user, until no realization changes.
+    """
     groups_of_user = [0, 0, 1, 1, 2, 2]
     bs_of_group = [(0,), (1,), (0, 1)]
-    n_pat = 2 ** (6 * t_slots)
-    dist = np.zeros(7)
-    for idx in range(n_pat):
-        buckets = {}
-        for u in range(6):
-            for t in range(t_slots):
-                if idx >> (u * t_slots + t) & 1:
-                    for b in bs_of_group[groups_of_user[u]]:
-                        buckets.setdefault((b, t), set()).add(u)
-        alive = [True] * 6
-        changed = True
-        while changed:
-            changed = False
-            for members in buckets.values():
-                if len(members) == 1:
-                    (u,) = members
-                    for m2 in buckets.values():
-                        m2.discard(u)
-                    alive[u] = False
-                    changed = True
-                    break
-        dist[6 - sum(alive)] += 1
-    return dist / n_pat
+    idx = np.arange(2 ** (6 * t_slots), dtype=np.int64)
+    buckets = []
+    for b in (0, 1):
+        for t in range(t_slots):
+            members = np.zeros_like(idx)
+            for u in range(6):
+                if b in bs_of_group[groups_of_user[u]]:
+                    members |= (idx >> (u * t_slots + t) & 1) << u
+            buckets.append(members)
+    alive = np.full_like(idx, 0b111111)
+    while True:
+        before = alive
+        for members in buckets:
+            live = members & alive
+            alone = (live != 0) & (live & (live - 1) == 0)
+            alive = np.where(alone, alive & ~live, alive)
+        if np.array_equal(alive, before):
+            break
+    retrieved = 6 - sum(alive >> u & 1 for u in range(6))
+    return np.bincount(retrieved, minlength=7) / len(idx)
+
+
+@pytest.mark.parametrize("t_slots", [1, 2])
+def test_c8_enumeration_matches_per_realization_loop(t_slots):
+    assert np.array_equal(
+        _enumerate_tiny_distribution(t_slots), tiny_distribution_by_loop(t_slots)
+    )
 
 
 def test_c8_small_instance_oracle(topo_tiny):

@@ -120,6 +120,13 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
         ("simulate", {"slot_cap": 0}),
         ("simulate", {"trials": "many"}),
         ("bounds", {"m_values": [1], "bound_population": 2}),
+        ("simulate", {"alpha": "high"}),
+        ("bounds", {"m_values": ["one"]}),
+        ("bounds", {"m_values": [1], "num_users_per_group": "many"}),
+        ("bounds", {"m_values": [1], "noncoop_degree": "three"}),
+        ("compare", {"gbar_values": ["low"]}),
+        ("compare", {"gbar_values": 0.8}),
+        ("analyze --trace", {"trace_t": "late"}),
     ],
     ids=[
         "simulate-trials-0", "simulate-alpha-above-1", "compare-gbar-empty",
@@ -127,7 +134,10 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
         "analyze-degree-not-a-number", "analyze-t-grid-without-start",
         "analyze-mode-unknown", "optimize-mode-unknown", "compare-trials-0",
         "simulate-t-0", "simulate-slot-cap-0", "simulate-trials-not-a-number",
-        "bounds-population-2",
+        "bounds-population-2", "simulate-alpha-not-a-number",
+        "bounds-m-not-a-number", "bounds-users-not-a-number",
+        "bounds-noncoop-degree-not-a-number", "compare-gbar-not-a-number",
+        "compare-gbar-not-a-list", "analyze-trace-t-not-a-number",
     ],
 )
 def test_config_value_the_library_rejects_is_a_config_error(
@@ -135,7 +145,7 @@ def test_config_value_the_library_rejects_is_a_config_error(
 ):
     cfg = small_m1_config(tmp_path, **extra)
     out = tmp_path / "out"
-    assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert run([*command.split(), "--config", cfg, "--out", out]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "config error:" in captured.err
     assert captured.out == ""

@@ -271,6 +271,53 @@ def test_fused_noncoop_kernel_matches_per_bs_products():
             assert np.allclose(w[:, k], expected, rtol=0.0, atol=1e-12)
 
 
+def kernel_inputs(engine, rng, rows):
+    """(x, p, R, rho) of random fixed-point states, as `_RowPool.step`
+    hands them to an engine's w kernel."""
+    counts = engine.counts[engine.columns]
+    g = rng.uniform(0.2, 3.0, size=(rows, engine.topology.num_groups))
+    p = np.minimum(g / np.maximum(engine.counts, 1.0), 1.0)[:, engine.columns]
+    x = rng.uniform(0.0, 1.0, size=p.shape)
+    base = 1.0 - p * x
+    return x, p, base**counts, base ** np.maximum(counts - 1.0, 0.0)
+
+
+def assert_same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+REFERENCE_W = {
+    "coop": oracles.coop_w,
+    "noncoop": oracles.noncoop_w,
+    "bound": oracles.bound_w,
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_kernels_match_plain_references_bit_for_bit(mode):
+    rng = np.random.default_rng(31)
+    networks = [full_topology(m, [10000] * (2**m - 1)) for m in (1, 2, 3)]
+    networks += [random_topology(rng) for _ in range(5)]
+    # Target 0 has the same companions at BSs 1 and 2, so its 3x3 bound
+    # system is singular and falls back to max_j p_j = rho.
+    singular = NetworkTopology(num_bs=3, groups=(GroupSpec(0b111, 50), GroupSpec(0b011, 50)))
+    if mode == "bound":  # the 4-BS group of the full M = 4 network takes the stacked solve
+        networks += [full_topology(4, [10000] * 15), singular]
+    for topo in networks:
+        engine = make_engine(topo, mode)
+        for rows in (1, 9, 300):
+            args = kernel_inputs(engine, rng, rows)
+            w = engine._w(*args)
+            assert_same_bits(w, REFERENCE_W[mode](engine, *args))
+            if topo is singular:
+                assert_same_bits(w[:, 0], 1.0 - args[3][:, 0])
+            if mode == "coop":
+                n = topo.num_groups
+                for v in (rng.random((3, n)), rng.random((3, n, rows))):
+                    assert_same_bits(engine.dag.evaluate(v), oracles.dag_evaluate(engine.dag, v))
+
+
 def test_plr_curve_header_and_peak(topo_m1):
     out = make_engine(topo_m1, "coop").evaluate(
         np.full((3, 1), 3.10 / 10000), [9000, 10615, 12000]
@@ -398,8 +445,8 @@ def test_streamed_search_matches_lockstep_oracle(mode):
 def assert_pool_rows_match_rows_alone(topo, mode, joins, drops):
     """Rows run through one _RowPool: the rows in joins[i] join and those
     in drops[i] are removed before iteration i. Every row that is not
-    removed must get the bits it gets evaluated alone, and removed rows
-    must never leave the pool."""
+    removed must get the bits it gets evaluated alone, removed rows must
+    never leave the pool and no row may leave twice."""
     engine = make_engine(topo, mode)
     g = np.array([[1.81, 1.81, 1.68], [0.4, 0.9, 0.2], [2.6, 2.2, 2.4], [1.0, 1.0, 1.0]])
     p = np.repeat(g / 10000.0, 2, axis=0)
@@ -420,6 +467,7 @@ def assert_pool_rows_match_rows_alone(topo, mode, joins, drops):
             left = pool.step()
             if left is not None:
                 keys = left[0]
+                assert not iters[keys].any()  # neither left before nor dropped
                 x[keys], w[keys], iters[keys], conv[keys] = left[1:]
             it += 1
         assert not iters[dropped].any()
