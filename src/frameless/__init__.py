@@ -16,7 +16,6 @@ from .topology import (
 )
 from .walkgraph import (
     GuardError,
-    RetrievabilityTable,
     build_retrievability_tables,
     load_or_build_tables,
 )

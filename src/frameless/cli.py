@@ -78,18 +78,15 @@ def _topology_from(doc: dict) -> NetworkTopology:
         raise ConfigError(f"bad topology: {e}") from e
 
 
-def _degrees_from(doc: dict, topology: NetworkTopology, key="degrees"):
+def _degrees_from(doc: dict, num_groups: int, key="degrees"):
     if key not in doc:
         raise ConfigError(f"config needs '{key}'")
-    g = doc[key]
-    if not isinstance(g, list) or len(g) != topology.num_groups:
+    g = _parsed(doc, key, None, lambda g: tuple(float(v) for v in g))
+    if not isinstance(doc[key], list) or len(g) != num_groups:
         raise ConfigError(
-            f"'{key}' must list one target degree per group ({topology.num_groups})"
+            f"'{key}' must list one target degree per group ({num_groups})"
         )
-    try:
-        return tuple(float(v) for v in g)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"'{key}' must list numbers: {e}") from e
+    return g
 
 
 def _mode_from(doc: dict) -> str:
@@ -122,13 +119,13 @@ def _t_values(doc: dict, points: int):
     """The first frame lengths of a peak search: the config's t_values or
     t_grid, else None for peak_search's default grid of `points` points."""
     if "t_values" in doc:
-        t_vals = [int(t) for t in doc["t_values"]]
+        t_vals = _parsed(doc, "t_values", None, lambda ts: [int(t) for t in ts])
     elif "t_grid" in doc:
         spec = doc["t_grid"]
-        if "start" not in spec or "stop" not in spec:
+        if not isinstance(spec, dict) or "start" not in spec or "stop" not in spec:
             raise ConfigError("'t_grid' needs 'start' and 'stop'")
-        num = max(0, int(spec.get("num", 41)))
-        t_vals = np.linspace(int(spec["start"]), int(spec["stop"]), num)
+        start, stop = _parsed(spec, "start", None, int), _parsed(spec, "stop", None, int)
+        t_vals = np.linspace(start, stop, max(0, _parsed(spec, "num", 41, int)))
         t_vals = np.unique(t_vals.round().astype(int)).tolist()
     elif points < 1:
         raise ConfigError(f"--grid-points must be >= 1, got {points}")
@@ -137,6 +134,20 @@ def _t_values(doc: dict, points: int):
     if not t_vals or min(t_vals) < 1:
         raise ConfigError("the T grid needs at least one T, and every T >= 1")
     return t_vals
+
+
+def _replica_from(doc: dict, default=None):
+    """The config's replica_dist, else default, as sorted (replica count,
+    probability) pairs: counts >= 1 and a probability mass."""
+    dist = _parsed(doc, "replica_dist", default,
+                   lambda d: {int(k): float(v) for k, v in dict(d).items()})
+    replica = tuple(sorted(dist.items()))
+    probs = np.array([p for _, p in replica])
+    # The library's test of a probability mass, which a NaN fails here too.
+    if (not replica or replica[0][0] < 1 or (probs < 0).any()
+            or not abs(probs.sum() - 1) <= 1e-9):
+        raise ConfigError("'replica_dist' must map counts >= 1 to a probability mass")
+    return replica
 
 
 def _provenance(doc: dict, args) -> dict:
@@ -181,7 +192,7 @@ def cmd_analyze(args) -> int:
     if args.trace and mode != "coop":
         raise ConfigError("--trace requires cooperative mode")
     trace_t = _count(doc, "trace_t") if args.trace else None
-    degrees = _degrees_from(doc, topology)
+    degrees = _degrees_from(doc, topology.num_groups)
     t_vals = _t_values(doc, args.grid_points)
     out_dir = Path(args.out)
     engine = make_engine(topology, mode, cache_dir=args.cache_dir, workers=args.workers)
@@ -231,14 +242,11 @@ def cmd_simulate(args) -> int:
     replica = None
     degrees = None
     if mode == "spatio":
-        raw = doc["replica_dist"]
-        if not raw or "t" not in doc:
-            raise ConfigError(
-                "spatio frames need a non-empty 'replica_dist' and a frame length 't'"
-            )
-        replica = tuple(sorted((int(k), float(v)) for k, v in raw.items()))
+        if "t" not in doc:
+            raise ConfigError("spatio frames need a frame length 't'")
+        replica = _replica_from(doc)
     else:
-        degrees = _degrees_from(doc, topology)
+        degrees = _degrees_from(doc, topology.num_groups)
     alpha = _parsed(doc, "alpha", 0.8)
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"'alpha' must be in (0, 1], got {alpha}")
@@ -276,18 +284,18 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     doc = _load_config(args.config)
     topology = _topology_from(doc)
-    tie = doc.get("tie_classes")
     try:
         spec = OptimizationSpec(
             topology=topology,
             alpha=_parsed(doc, "alpha", 0.8),
             mode=_mode_from(doc),
-            tie_classes=tuple(tuple(c) for c in tie) if tie else None,
-            bounds=tuple(doc.get("bounds", (0.0, 4.0))),
-            population=int(doc.get("population", 300)),
-            mutant_factor=float(doc.get("mutant_factor", 0.2)),
-            generations=int(doc.get("generations", 30)),
-            crossover_rate=float(doc.get("crossover_rate", 0.9)),
+            tie_classes=_parsed(doc, "tie_classes", None,
+                                lambda t: tuple(tuple(c) for c in t) if t else None),
+            bounds=_parsed(doc, "bounds", (0.0, 4.0), lambda b: tuple(float(v) for v in b)),
+            population=_parsed(doc, "population", 300, int),
+            mutant_factor=_parsed(doc, "mutant_factor", 0.2),
+            generations=_parsed(doc, "generations", 30, int),
+            crossover_rate=_parsed(doc, "crossover_rate", 0.9),
             cache_dir=args.cache_dir,
         )
     except ValueError as e:  # the spec checks its own settings
@@ -319,15 +327,18 @@ def cmd_bounds(args) -> int:
     m_values = _parsed(doc, "m_values", [1, 2, 3, 4], lambda ms: [int(m) for m in ms])
     n_per_group = _parsed(doc, "num_users_per_group", 10000, int)
     g_single = _parsed(doc, "noncoop_degree", 3.098)
-    exact_g = doc.get("exact_degrees", {})
+    # Every M's exact degrees, keyed by M, checked before the first search.
+    exact = _parsed(doc, "exact_degrees", {},
+                    lambda d: {int(m): g for m, g in dict(d).items()})
+    exact_g = {m: _degrees_from(exact, 2**m - 1, m) for m in exact}
     try:  # the bound search's DE settings, checked before any work
         bound_specs = [
             OptimizationSpec(
                 topology=full_topology(m, [n_per_group] * (2**m - 1)),
                 mode="bound",
                 alpha=_parsed(doc, "alpha", 0.8),
-                population=int(doc.get("bound_population", 30)),
-                generations=int(doc.get("bound_generations", 10)),
+                population=_parsed(doc, "bound_population", 30, int),
+                generations=_parsed(doc, "bound_generations", 10, int),
             )
             for m in m_values
         ]
@@ -348,10 +359,10 @@ def cmd_bounds(args) -> int:
         opt_b = optimize(bound_spec, seed=args.seed, workers=args.workers)
         row["s_lower"] = opt_b.throughput
         row["gamma_lower"] = opt_b.throughput / pk_nc.throughput
-        if str(m) in exact_g:
+        if m in exact_g:
             pk_c = peak_search(
                 topology,
-                tuple(float(v) for v in exact_g[str(m)]),
+                exact_g[m],
                 "coop",
                 cache_dir=args.cache_dir,
                 workers=args.workers,
@@ -377,9 +388,8 @@ def cmd_bounds(args) -> int:
 def cmd_compare(args) -> int:
     doc = _load_config(args.config)
     topology = _topology_from(doc)
-    degrees = _degrees_from(doc, topology)
-    raw = doc.get("replica_dist", {"2": 1.0})
-    replica = tuple(sorted((int(k), float(v)) for k, v in raw.items()))
+    degrees = _degrees_from(doc, topology.num_groups)
+    replica = _replica_from(doc, {"2": 1.0})
     gbars = _parsed(doc, "gbar_values", [0.5, 0.6, 0.7, 0.75, 0.8, 0.9],
                     lambda gs: [float(g) for g in gs])
     if not gbars or min(gbars) <= 0:

@@ -236,13 +236,13 @@ class CoopEngine(_EngineBase):
     def __init__(self, topology: NetworkTopology, *, cache_dir=None, workers: int = 1):
         super().__init__(topology)
         n_groups = topology.num_groups
-        self.tables = load_or_build_tables(topology, cache_dir, workers)
+        retrievable, singleton = load_or_build_tables(topology, cache_dir, workers)
         # One levelized DAG over all targets: every target's collision-free
         # (singleton) table, then every target's rescue table.
-        masks = [self.tables[i].singleton for i in range(n_groups)]
-        masks += [self.tables[i].rescue for i in range(n_groups)]
         comps = [companion_order(n_groups, i) for i in range(n_groups)]
-        self.dag = PatternDag(np.array(masks), comps + comps)
+        self.dag = PatternDag(
+            np.concatenate([singleton, retrievable & ~singleton]), comps + comps
+        )
 
     def _p_r(self, big_r: np.ndarray, big_c: np.ndarray):
         """(P^(r0), P^(r1)) per row and target from one pass over the DAG."""

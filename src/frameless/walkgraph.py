@@ -9,12 +9,13 @@ state-2 groups are never peelable.
 
 One SIC pass over all 3^I patterns, group 0 the most significant digit,
 records for every group whether it peels and whether it started as a
-singleton at one of its BSs. A target's retrievability table is the slice
-of that pass where the target is in state 1: 3^(I-1) companion patterns,
+singleton at one of its BSs. Its output is a pair of (I, 3^(I-1)) boolean
+arrays, (retrievable, singleton): row i is target i's table, the slice of
+the pass where the target is in state 1, over its companion patterns
 indexed by a mixed-radix base-3 counter over the other groups in
-ascending group order, first companion most significant. The tables
-depend only on connectivity, never on probabilities, so they are built
-once and cached on disk.
+ascending group order, first companion most significant. The pair
+depends only on connectivity, never on probabilities, so it is built
+once and cached on disk as one bit-packed file per connectivity.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import hashlib
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,13 @@ import numpy as np
 from .topology import NetworkTopology, structure_fingerprint
 
 CACHE_ENV = "FRAMELESS_CACHE_DIR"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 # Exact enumeration is refused beyond this many groups.
 MAX_GROUPS = 15
-_CHUNK = 1 << 19
+# Patterns per SIC chunk. A power of 3, so that a chunk, which starts at a
+# multiple of it, holds whole blocks of each digit or lies inside one.
+_CHUNK = 3**12
 
 
 class GuardError(RuntimeError):
@@ -88,35 +90,12 @@ def sic_on_patterns(states: np.ndarray, a: np.ndarray):
     return (states == 1) & (s == 0.0), singleton
 
 
-@dataclass(frozen=True)
-class RetrievabilityTable:
-    """Per-target retrievability over all companion patterns.
-
-    retrievable[k] is True iff pattern k lets the target peel; singleton[k]
-    marks the subset where the target starts as a singleton at some BS
-    (the collision-free retrievals, P^(r0)); the remainder are the
-    cooperative rescues (P^(r1)).
-    """
-
-    target: int
-    num_groups: int
-    retrievable: np.ndarray
-    singleton: np.ndarray
-
-    @property
-    def rescue(self) -> np.ndarray:
-        return self.retrievable & ~self.singleton
-
-    def __post_init__(self):
-        expected = 3 ** (self.num_groups - 1)
-        if len(self.retrievable) != expected or len(self.singleton) != expected:
-            raise ValueError("table length does not match pattern space")
-
-
 def build_retrievability_tables(
     topology: NetworkTopology, workers: int = 1
-) -> dict[int, RetrievabilityTable]:
-    """Every group's table from one exhaustive SIC pass over 3^I patterns."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(retrievable, singleton) of every group from one exhaustive SIC pass
+    over 3^I patterns, each an (I, 3^(I-1)) boolean array whose row i is
+    target i's table."""
     n_groups = topology.num_groups
     if n_groups > MAX_GROUPS:
         raise GuardError(
@@ -125,14 +104,23 @@ def build_retrievability_tables(
         )
     a = incidence(topology)
     n_pat = 3**n_groups
-    peeled = np.empty((n_pat, n_groups), dtype=bool)
-    singleton = np.empty((n_pat, n_groups), dtype=bool)
+    retrievable, singleton = np.empty((2, n_groups, n_pat // 3), dtype=bool)
 
     def run(lo):
         hi = min(lo + _CHUNK, n_pat)
-        peeled[lo:hi], singleton[lo:hi] = sic_on_patterns(
-            pattern_states(n_groups, lo, hi), a
-        )
+        chunk = sic_on_patterns(pattern_states(n_groups, lo, hi), a)
+        # Target i's rows are the patterns whose digit i is 1, in order.
+        for i in range(n_groups):
+            s = 3 ** (n_groups - 1 - i)  # place value of digit i
+            for table, part in zip((retrievable, singleton), chunk):
+                if 3 * s <= hi - lo:
+                    # Whole blocks of 3s patterns; digit i is 1 in the
+                    # middle third of each.
+                    table[i, lo // 3 : hi // 3] = part[:, i].reshape(-1, 3, s)[:, 1].ravel()
+                elif lo // s % 3 == 1:
+                    # Inside the middle third of one block.
+                    k0 = lo // (3 * s) * s + lo % s
+                    table[i, k0 : k0 + hi - lo] = part[:, i]
 
     starts = range(0, n_pat, _CHUNK)
     if workers > 1 and len(starts) > 1:
@@ -141,32 +129,15 @@ def build_retrievability_tables(
     else:
         for lo in starts:
             run(lo)
-
-    def target_rows(table, i):
-        # Digit i fixed at 1; the digits left over are the companions of i
-        # in ascending group order, first most significant.
-        return table[:, i].reshape(3**i, 3, -1)[:, 1, :].ravel()
-
-    return {
-        i: RetrievabilityTable(
-            target=i,
-            num_groups=n_groups,
-            retrievable=target_rows(peeled, i),
-            singleton=target_rows(singleton, i),
-        )
-        for i in range(n_groups)
-    }
+    return retrievable, singleton
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "frameless-aloha"
-
-
-def _table_path(cache_dir: Path, fingerprint: str, target: int) -> Path:
-    return cache_dir / f"walktab-v{CACHE_VERSION}-{fingerprint}-t{target}.npz"
+def _table_path(cache_dir, fingerprint: str) -> Path:
+    """The network's cache file under cache_dir, else $FRAMELESS_CACHE_DIR,
+    else ~/.cache/frameless-aloha."""
+    if not cache_dir:
+        cache_dir = os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "frameless-aloha"
+    return Path(cache_dir) / f"walktab-v{CACHE_VERSION}-{fingerprint}.npz"
 
 
 def _checksum(retrievable: np.ndarray, singleton: np.ndarray) -> str:
@@ -174,15 +145,15 @@ def _checksum(retrievable: np.ndarray, singleton: np.ndarray) -> str:
     return hashlib.sha256(retrievable.tobytes() + singleton.tobytes()).hexdigest()
 
 
-def save_table(table: RetrievabilityTable, topology: NetworkTopology, cache_dir=None):
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    cache_dir.mkdir(parents=True, exist_ok=True)
+def save_table(tables, topology: NetworkTopology, cache_dir=None) -> Path:
+    """Write the (retrievable, singleton) pair as the network's one cache
+    file, bit-packed."""
     fingerprint = structure_fingerprint(topology)
-    path = _table_path(cache_dir, fingerprint, table.target)
-    retrievable = np.packbits(table.retrievable)
-    singleton = np.packbits(table.singleton)
+    path = _table_path(cache_dir, fingerprint)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    retrievable, singleton = (np.packbits(t) for t in tables)
     # A private temp file per writer, so concurrent builders of the same
-    # table never write into each other's file; os.replace is atomic.
+    # tables never write into each other's file; os.replace is atomic.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
@@ -190,8 +161,6 @@ def save_table(table: RetrievabilityTable, topology: NetworkTopology, cache_dir=
                 fh,
                 version=np.int64(CACHE_VERSION),
                 fingerprint=np.str_(fingerprint),
-                target=np.int64(table.target),
-                num_groups=np.int64(table.num_groups),
                 retrievable=retrievable,
                 singleton=singleton,
                 checksum=np.str_(_checksum(retrievable, singleton)),
@@ -202,55 +171,46 @@ def save_table(table: RetrievabilityTable, topology: NetworkTopology, cache_dir=
     return path
 
 
-def load_table(topology: NetworkTopology, target: int, cache_dir=None):
-    """The cached table, or None on a miss.
+def load_table(topology: NetworkTopology, cache_dir=None):
+    """The cached (retrievable, singleton) pair, or None on a miss.
 
     Missing, unreadable (truncated, empty, foreign), other-version and
-    mislabelled files (a fingerprint, target or payload checksum that does
-    not match) all count as a miss.
+    mislabelled files (a fingerprint, packed length or payload checksum
+    that does not match) all count as a miss.
     """
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     fingerprint = structure_fingerprint(topology)
-    path = _table_path(cache_dir, fingerprint, target)
-    if not path.exists():
-        return None
+    shape = (topology.num_groups, 3 ** (topology.num_groups - 1))
+    n_bits = shape[0] * shape[1]
     try:
-        with np.load(path) as z:
+        with np.load(_table_path(cache_dir, fingerprint)) as z:
+            packed = z["retrievable"], z["singleton"]
             if (
                 int(z["version"]) != CACHE_VERSION
                 or str(z["fingerprint"]) != fingerprint
-                or int(z["target"]) != target
+                # unpackbits(count=...) would zero-pad a short payload.
+                or any(p.shape != (-(-n_bits // 8),) for p in packed)
+                or str(z["checksum"]) != _checksum(*packed)
             ):
                 return None
-            retrievable, singleton = z["retrievable"], z["singleton"]
-            if str(z["checksum"]) != _checksum(retrievable, singleton):
-                return None
-            n_groups = int(z["num_groups"])
-            n_pat = 3 ** (n_groups - 1)
-            return RetrievabilityTable(
-                target=target,
-                num_groups=n_groups,
-                retrievable=np.unpackbits(retrievable, count=n_pat).astype(bool),
-                singleton=np.unpackbits(singleton, count=n_pat).astype(bool),
+            return tuple(
+                np.unpackbits(p, count=n_bits).view(bool).reshape(shape) for p in packed
             )
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
+    except (OSError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile):
         return None
 
 
 def load_or_build_tables(
     topology: NetworkTopology, cache_dir=None, workers: int = 1
-) -> dict[int, RetrievabilityTable]:
-    """Tables for every group, disk-cached; any miss rebuilds all of them
-    in one pass and saves the missing ones."""
-    tables = {t: load_table(topology, t, cache_dir) for t in range(topology.num_groups)}
-    missing = [t for t, table in tables.items() if table is None]
-    if missing:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(retrievable, singleton) for every group, disk-cached; a miss builds
+    them in one pass and saves them."""
+    tables = load_table(topology, cache_dir)
+    if tables is None:
         tables = build_retrievability_tables(topology, workers)
-        for t in missing:
-            try:
-                save_table(tables[t], topology, cache_dir)
-            except OSError:
-                pass
+        try:
+            save_table(tables, topology, cache_dir)
+        except OSError:
+            pass
     return tables
 
 

@@ -61,7 +61,6 @@ from frameless.bounds import PIVOT_TOL, _union_lower_bound
 from frameless.evolution import DEFAULT_MAX_ITER, DEFAULT_TOL, _padded
 from frameless.simulator import FrameResult, _make_rng
 from frameless.topology import NetworkTopology, TargetDegreeVector
-from frameless.walkgraph import RetrievabilityTable
 
 # Tail mass below which binomial coefficient sequences are truncated.
 TAIL_TOL = 1e-14
@@ -263,7 +262,7 @@ def pattern_mass(
 
 def compute_w_coop(
     topology: NetworkTopology,
-    tables: dict[int, RetrievabilityTable],
+    tables: tuple[np.ndarray, np.ndarray],
     probs_r,
     probs_c,
     probs_rho,
@@ -274,16 +273,18 @@ def compute_w_coop(
     probs_r, probs_c are the per-group no-edge / one-edge probabilities;
     probs_rho[target] is the probability that the target's packet is its
     group's sole un-retrieved transmission. Direct pattern-sum reference
-    path; the evolution engine uses a compressed equivalent.
+    path; the evolution engine uses a compressed equivalent. tables is the
+    (retrievable, singleton) pair of `load_or_build_tables`.
     """
-    if target not in tables:
+    retrievable = tables[0]
+    if not 0 <= target < len(retrievable):
         raise KeyError(f"no retrievability table for target {target}")
     probs_r = np.asarray(probs_r, dtype=float)
     probs_c = np.asarray(probs_c, dtype=float)
     if ((probs_r + probs_c) > 1.0 + 1e-9).any():
         raise ValueError("R + C exceeds 1")
     mass = pattern_mass(
-        topology, target, probs_r, probs_c, mask=tables[target].retrievable
+        topology, target, probs_r, probs_c, mask=retrievable[target]
     )
     w = 1.0 - float(np.asarray(probs_rho, dtype=float)[target]) * mass
     if w < -1e-6 or w > 1.0 + 1e-6:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from frameless import __version__
+from frameless import __version__, cli
 from frameless.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -127,6 +127,19 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
         ("compare", {"gbar_values": ["low"]}),
         ("compare", {"gbar_values": 0.8}),
         ("analyze --trace", {"trace_t": "late"}),
+        ("analyze", {"t_values": ["x"]}),
+        ("analyze", {"t_grid": {"start": "a", "stop": 3000}}),
+        ("analyze", {"t_grid": {"start": 1000, "stop": 3000, "num": "many"}}),
+        ("bounds", {"m_values": [1], "exact_degrees": {"1": ["x"]}}),
+        ("bounds", {"m_values": [1], "exact_degrees": {"1": [3.0, 3.0]}}),
+        ("optimize", {"bounds": [0, "x"]}),
+        ("optimize", {"bounds": "ab"}),
+        ("simulate", {"t": 2300, "replica_dist": {"x": 1.0}}),
+        ("simulate", {"t": 2300, "replica_dist": {"2": "half"}}),
+        ("simulate", {"t": 2300, "replica_dist": {"2": 0.5}}),
+        ("simulate", {"t": 2300, "replica_dist": {"0": 1.0}}),
+        ("compare", {"replica_dist": {}}),
+        ("compare", {"replica_dist": {"2": 1.5, "3": -0.5}}),
     ],
     ids=[
         "simulate-trials-0", "simulate-alpha-above-1", "compare-gbar-empty",
@@ -138,11 +151,23 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
         "bounds-m-not-a-number", "bounds-users-not-a-number",
         "bounds-noncoop-degree-not-a-number", "compare-gbar-not-a-number",
         "compare-gbar-not-a-list", "analyze-trace-t-not-a-number",
+        "analyze-t-values-not-a-number", "analyze-t-grid-start-not-a-number",
+        "analyze-t-grid-num-not-a-number", "bounds-exact-degree-not-a-number",
+        "bounds-exact-degrees-wrong-length", "optimize-bound-not-a-number",
+        "optimize-bounds-not-numbers", "simulate-replica-count-not-a-number",
+        "simulate-replica-probability-not-a-number", "simulate-replica-not-a-mass",
+        "simulate-replica-count-0", "compare-replica-empty",
+        "compare-replica-negative-probability",
     ],
 )
 def test_config_value_the_library_rejects_is_a_config_error(
-    tmp_path, capsys, command, extra
+    tmp_path, capsys, monkeypatch, command, extra
 ):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a DE search ran before the config was checked")
+
+    # A bad value must stop a command before its first search.
+    monkeypatch.setattr(cli, "optimize", no_search)
     cfg = small_m1_config(tmp_path, **extra)
     out = tmp_path / "out"
     assert run([*command.split(), "--config", cfg, "--out", out]) == EXIT_CONFIG

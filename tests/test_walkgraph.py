@@ -12,7 +12,7 @@ from frameless.topology import (
 from frameless.walkgraph import (
     GuardError,
     PatternDag,
-    RetrievabilityTable,
+    _checksum,
     build_retrievability_tables,
     companion_order,
     load_or_build_tables,
@@ -48,35 +48,35 @@ def test_single_collided_packet_rescued():
     # u1 and u7 hold one un-retrieved packet each, u2 collides, rest silent:
     # u7 is a singleton at BS 3, peels, then u1 becomes a singleton at BS 1.
     topo = appendix_m3()
-    table = build_retrievability_tables(topo)[0]
+    retrievable, singleton = build_retrievability_tables(topo)
     states = [1, 2, 0, 0, 0, 0, 1]
     k = pattern_index(states, 0, 7)
-    assert table.retrievable[k]
-    assert not table.singleton[k]  # rescued from a collision, not collision-free
+    assert retrievable[0, k]
+    assert not singleton[0, k]  # rescued from a collision, not collision-free
 
 
 def test_all_silent_companions_retrievable():
     topo = appendix_m3()
-    table = build_retrievability_tables(topo)[0]
+    retrievable, singleton = build_retrievability_tables(topo)
     k = pattern_index([1, 0, 0, 0, 0, 0, 0], 0, 7)
-    assert table.retrievable[k]
-    assert table.singleton[k]
+    assert retrievable[0, k]
+    assert singleton[0, k]
 
 
 def test_all_neighbors_collided_blocked():
     # every group sharing a BS with the target is in state 2
     topo = appendix_m3()
-    table = build_retrievability_tables(topo)[0]
+    retrievable, _ = build_retrievability_tables(topo)
     # target u1 at BS1; groups at BS1: u4={1,2}, u6={1,3}, u7={1,2,3}
     states = [1, 0, 0, 2, 0, 2, 2]
-    assert not table.retrievable[pattern_index(states, 0, 7)]
+    assert not retrievable[0, pattern_index(states, 0, 7)]
 
 
 def test_triple_group_never_rescued():
     # the all-BS group can only be retrieved collision-free
     topo = appendix_m3()
-    table = build_retrievability_tables(topo)[6]
-    assert not table.rescue.any()
+    retrievable, singleton = build_retrievability_tables(topo)
+    assert not (retrievable[6] & ~singleton[6]).any()
 
 
 def test_guard_on_too_many_groups():
@@ -94,42 +94,56 @@ def test_table_shape_and_chunking(monkeypatch):
 
     topo = full_topology(3, [5] * 7)
     t_serial = build_retrievability_tables(topo, workers=1)
-    monkeypatch.setattr(wg, "_CHUNK", 100)  # 22 chunks over 3^7 patterns
+    monkeypatch.setattr(wg, "_CHUNK", 3**4)  # 27 chunks over 3^7 patterns
     t_parallel = build_retrievability_tables(topo, workers=2)
-    assert sorted(t_serial) == list(range(7))
-    for t in range(7):
-        assert len(t_serial[t].retrievable) == 3**6
-        assert np.array_equal(t_serial[t].retrievable, t_parallel[t].retrievable)
-        assert np.array_equal(t_serial[t].singleton, t_parallel[t].singleton)
+    for serial, parallel in zip(t_serial, t_parallel):
+        assert serial.shape == (7, 3**6)
+        assert np.array_equal(serial, parallel)
+
+
+def assert_tables_equal(got, expected):
+    assert got is not None
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def cache_files(cache_dir):
+    return sorted(p.name for p in cache_dir.iterdir())
 
 
 def test_cache_roundtrip(tmp_path):
     topo = full_topology(2, [5, 5, 5])
-    table = build_retrievability_tables(topo)[1]
-    save_table(table, topo, cache_dir=tmp_path)
-    loaded = load_table(topo, 1, cache_dir=tmp_path)
-    assert loaded is not None
-    assert np.array_equal(loaded.retrievable, table.retrievable)
-    assert np.array_equal(loaded.singleton, table.singleton)
+    tables = build_retrievability_tables(topo)
+    path = save_table(tables, topo, cache_dir=tmp_path)
+    assert path.name == f"walktab-v3-{structure_fingerprint(topo)}.npz"
+    assert_tables_equal(load_table(topo, cache_dir=tmp_path), tables)
     # counts don't invalidate the cache; connectivity does
     other_counts = full_topology(2, [9, 9, 9])
-    assert load_table(other_counts, 1, cache_dir=tmp_path) is not None
-    other_struct = full_topology(2, [5, 5, 0])
-    tables = load_or_build_tables(other_struct, cache_dir=tmp_path)
-    assert set(tables) == {0, 1, 2}
+    assert load_table(other_counts, cache_dir=tmp_path) is not None
+    other_struct = NetworkTopology(
+        num_bs=2, groups=(GroupSpec(0b01, 5), GroupSpec(0b11, 5))
+    )
+    assert load_table(other_struct, cache_dir=tmp_path) is None
+    retrievable, singleton = load_or_build_tables(other_struct, cache_dir=tmp_path)
+    assert retrievable.shape == singleton.shape == (2, 3)
+    assert len(cache_files(tmp_path)) == 2
+
+
+def assert_miss_rebuilt(topo, cache_dir, expected):
+    """The damaged file is a miss; one load_or_build_tables replaces it."""
+    assert load_table(topo, cache_dir=cache_dir) is None
+    assert_tables_equal(load_or_build_tables(topo, cache_dir=cache_dir), expected)
+    assert_tables_equal(load_table(topo, cache_dir=cache_dir), expected)
+    assert len(cache_files(cache_dir)) == 1
 
 
 @pytest.mark.parametrize("damage", ["truncated", "empty"])
 def test_damaged_cache_file_rebuilt(tmp_path, damage):
     topo = full_topology(2, [5, 5, 5])
-    path = save_table(build_retrievability_tables(topo)[1], topo, cache_dir=tmp_path)
+    tables = build_retrievability_tables(topo)
+    path = save_table(tables, topo, cache_dir=tmp_path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2] if damage == "truncated" else b"")
-    assert load_table(topo, 1, cache_dir=tmp_path) is None
-    tables = load_or_build_tables(topo, cache_dir=tmp_path)
-    reloaded = load_table(topo, 1, cache_dir=tmp_path)
-    assert reloaded is not None
-    assert np.array_equal(reloaded.retrievable, tables[1].retrievable)
+    assert_miss_rebuilt(topo, tmp_path, tables)
 
 
 def test_cache_file_of_other_topology_rebuilt(tmp_path):
@@ -137,49 +151,81 @@ def test_cache_file_of_other_topology_rebuilt(tmp_path):
     other = NetworkTopology(
         num_bs=2, groups=(GroupSpec(0b11, 5), GroupSpec(0b01, 5), GroupSpec(0b10, 5))
     )
-    stale = build_retrievability_tables(topo)[1]
-    expected = build_retrievability_tables(other)[1]
-    assert not np.array_equal(stale.retrievable, expected.retrievable)
+    stale = build_retrievability_tables(topo)
+    expected = build_retrievability_tables(other)
+    assert not np.array_equal(stale[0], expected[0])
     path = save_table(stale, topo, cache_dir=tmp_path)
     path.rename(
         path.with_name(
             path.name.replace(structure_fingerprint(topo), structure_fingerprint(other))
         )
     )
-    assert load_table(other, 1, cache_dir=tmp_path) is None
-    tables = load_or_build_tables(other, cache_dir=tmp_path)
-    assert np.array_equal(tables[1].retrievable, expected.retrievable)
-    reloaded = load_table(other, 1, cache_dir=tmp_path)
-    assert reloaded is not None
-    assert np.array_equal(reloaded.retrievable, expected.retrievable)
-    assert np.array_equal(reloaded.singleton, expected.singleton)
+    assert_miss_rebuilt(other, tmp_path, expected)
+
+
+def resave(path, edit):
+    """Rewrite a cache file with edit(arrays) applied; the archive stays valid."""
+    with np.load(path) as z:
+        arrays = dict(z)
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
 
 
 def test_flipped_payload_byte_rebuilt(tmp_path):
-    # the archive stays valid; only the stored checksum catches the flip
+    # only the stored checksum catches the flip
+    def flip(arrays):
+        arrays["retrievable"][0] ^= 0x80
+
     topo = full_topology(2, [5, 5, 5])
-    expected = build_retrievability_tables(topo)[1]
-    path = save_table(expected, topo, cache_dir=tmp_path)
-    with np.load(path) as z:
-        arrays = dict(z)
-    arrays["retrievable"][0] ^= 0x80
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-    assert load_table(topo, 1, cache_dir=tmp_path) is None
-    tables = load_or_build_tables(topo, cache_dir=tmp_path)
-    assert np.array_equal(tables[1].retrievable, expected.retrievable)
-    reloaded = load_table(topo, 1, cache_dir=tmp_path)
-    assert reloaded is not None
-    assert np.array_equal(reloaded.retrievable, expected.retrievable)
+    expected = build_retrievability_tables(topo)
+    resave(save_table(expected, topo, cache_dir=tmp_path), flip)
+    assert_miss_rebuilt(topo, tmp_path, expected)
+
+
+def test_short_payload_with_matching_checksum_rebuilt(tmp_path):
+    # unpackbits(count=...) zero-pads a short payload, so only the length
+    # check catches a file whose checksum was taken over the short bytes
+    def shorten(arrays):
+        arrays["retrievable"] = arrays["retrievable"][:-1]
+        arrays["checksum"] = np.str_(_checksum(arrays["retrievable"], arrays["singleton"]))
+
+    topo = full_topology(2, [5, 5, 5])
+    expected = build_retrievability_tables(topo)
+    resave(save_table(expected, topo, cache_dir=tmp_path), shorten)
+    assert_miss_rebuilt(topo, tmp_path, expected)
+
+
+def test_per_target_v2_file_neither_read_nor_deleted(tmp_path):
+    topo = full_topology(2, [5, 5, 5])
+    retrievable, singleton = expected = build_retrievability_tables(topo)
+    fingerprint = structure_fingerprint(topo)
+    old = tmp_path / f"walktab-v2-{fingerprint}-t0.npz"
+    packed = np.packbits(retrievable[0]), np.packbits(singleton[0])
+    with open(old, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            version=np.int64(2),
+            fingerprint=np.str_(fingerprint),
+            target=np.int64(0),
+            num_groups=np.int64(3),
+            retrievable=packed[0],
+            singleton=packed[1],
+            checksum=np.str_(_checksum(*packed)),
+        )
+    data = old.read_bytes()
+    assert load_table(topo, cache_dir=tmp_path) is None
+    assert_tables_equal(load_or_build_tables(topo, cache_dir=tmp_path), expected)
+    assert old.read_bytes() == data
+    assert cache_files(tmp_path) == [old.name, f"walktab-v3-{fingerprint}.npz"]
 
 
 def _save_repeatedly(cache_dir, barrier):
     topo = full_topology(2, [5, 5, 5])
-    tables = build_retrievability_tables(topo).values()
+    tables = build_retrievability_tables(topo)
     barrier.wait()
-    for _ in range(30):
-        for table in tables:
-            save_table(table, topo, cache_dir=cache_dir)
+    for _ in range(90):
+        save_table(tables, topo, cache_dir=cache_dir)
 
 
 def test_concurrent_writers(tmp_path):
@@ -196,14 +242,11 @@ def test_concurrent_writers(tmp_path):
     for proc in procs:
         proc.join(timeout=120)
     assert [proc.exitcode for proc in procs] == [0, 0]
-    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npz"] * 3
+    assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
     topo = full_topology(2, [5, 5, 5])
-    for t in range(3):
-        loaded = load_table(topo, t, cache_dir=tmp_path)
-        assert loaded is not None
-        assert np.array_equal(
-            loaded.retrievable, build_retrievability_tables(topo)[t].retrievable
-        )
+    assert_tables_equal(
+        load_table(topo, cache_dir=tmp_path), build_retrievability_tables(topo)
+    )
 
 
 def test_compute_w_trivial_cases():
@@ -245,11 +288,12 @@ def test_dag_matches_direct_sum(seed):
     topo = random_topology(rng)
     n = topo.num_groups
     target = int(rng.integers(n))
-    table = build_retrievability_tables(topo)[target]
+    retrievable, singleton = build_retrievability_tables(topo)
+    retrievable, singleton = retrievable[target], singleton[target]
     r = rng.random(n)
     c = rng.random(n) * (1 - r)
     v = np.stack([r, c, 1 - r - c])
-    for mask in (table.retrievable, table.singleton, table.rescue):
+    for mask in (retrievable, singleton, retrievable & ~singleton):
         dag = PatternDag(mask[None], [companion_order(n, target)])
         direct = pattern_mass(topo, target, r, c, mask=mask)
         assert dag.evaluate(v)[0] == pytest.approx(direct, abs=1e-12)
@@ -257,8 +301,8 @@ def test_dag_matches_direct_sum(seed):
 
 def test_dag_batch_evaluation():
     topo = full_topology(2, [4, 4, 4])
-    table = build_retrievability_tables(topo)[2]
-    dag = PatternDag(table.retrievable[None], [companion_order(3, 2)])
+    retrievable, _ = build_retrievability_tables(topo)
+    dag = PatternDag(retrievable[2:], [companion_order(3, 2)])
     rng = np.random.default_rng(3)
     r = rng.random((3, 5))
     c = rng.random((3, 5)) * (1 - r)
@@ -274,14 +318,13 @@ def test_fused_dag_matches_per_root_direct_sums():
     saw_no_companions = saw_empty_mask = False
     for topo in topos:
         n = topo.num_groups
-        tables = list(build_retrievability_tables(topo).values())
+        retrievable, singleton = build_retrievability_tables(topo)
         comps = [companion_order(n, i) for i in range(n)]
         r = rng.random((n, 4))
         c = rng.random((n, 4)) * (1 - r)
         v = np.stack([r, c, 1 - r - c])
         saw_no_companions |= n == 1
-        for kind in ("retrievable", "singleton", "rescue"):
-            masks = np.array([getattr(table, kind) for table in tables])
+        for masks in (retrievable, singleton, retrievable & ~singleton):
             saw_empty_mask |= not masks.any(axis=1).all()
             fused = PatternDag(masks, comps).evaluate(v)
             assert fused.shape == (n, 4)
@@ -311,23 +354,24 @@ def test_tables_match_per_pattern_peeling():
     topos = [full_topology(m, [5] * (2**m - 1)) for m in (1, 2, 3)]
     topos += edge_topologies() + [random_topology(rng) for _ in range(25)]
     for topo in topos:
-        tables = build_retrievability_tables(topo)
-        assert sorted(tables) == list(range(topo.num_groups))
-        for t, table in tables.items():
-            retrievable, singleton = reference_table(topo, t)
-            assert np.array_equal(table.retrievable, retrievable), (topo, t)
-            assert np.array_equal(table.singleton, singleton), (topo, t)
+        n = topo.num_groups
+        retrievable, singleton = build_retrievability_tables(topo)
+        assert retrievable.shape == singleton.shape == (n, 3 ** (n - 1))
+        for t in range(n):
+            ref_retrievable, ref_singleton = reference_table(topo, t)
+            assert np.array_equal(retrievable[t], ref_retrievable), (topo, t)
+            assert np.array_equal(singleton[t], ref_singleton), (topo, t)
 
 
 def test_full_m4_tables_match_per_pattern_peeling_at_sampled_patterns():
     topo = full_topology(4, [5] * 15)
-    tables = load_or_build_tables(topo)
+    retrievable, singleton = load_or_build_tables(topo)
     rng = np.random.default_rng(4)
-    for t, table in tables.items():
+    for t in range(15):
         idx = rng.integers(0, 3**14, size=2000)
-        retrievable, singleton = reference_table(topo, t, idx)
-        assert np.array_equal(table.retrievable[idx], retrievable), t
-        assert np.array_equal(table.singleton[idx], singleton), t
+        ref_retrievable, ref_singleton = reference_table(topo, t, idx)
+        assert np.array_equal(retrievable[t, idx], ref_retrievable), t
+        assert np.array_equal(singleton[t, idx], ref_singleton), t
 
 
 def test_rc_sum_above_one_rejected():
@@ -335,11 +379,6 @@ def test_rc_sum_above_one_rejected():
     tables = load_or_build_tables(topo)
     with pytest.raises(ValueError, match="exceeds 1"):
         compute_w_coop(topo, tables, np.ones(3), np.ones(3) * 0.5, np.ones(3), 0)
-
-
-def test_table_validates_length():
-    with pytest.raises(ValueError):
-        RetrievabilityTable(0, 3, np.zeros(5, bool), np.zeros(5, bool))
 
 
 def test_dag_matches_direct_sum_on_random_masks():
