@@ -136,9 +136,10 @@ def _t_values(doc: dict, points: int):
     return t_vals
 
 
-def _replica_from(doc: dict, default=None):
+def _replica_from(doc: dict, t_slots: int, default=None):
     """The config's replica_dist, else default, as sorted (replica count,
-    probability) pairs: counts >= 1 and a probability mass."""
+    probability) pairs: counts in 1..t_slots (the shortest frame) and a
+    probability mass."""
     dist = _parsed(doc, "replica_dist", default,
                    lambda d: {int(k): float(v) for k, v in dict(d).items()})
     replica = tuple(sorted(dist.items()))
@@ -147,6 +148,10 @@ def _replica_from(doc: dict, default=None):
     if (not replica or replica[0][0] < 1 or (probs < 0).any()
             or not abs(probs.sum() - 1) <= 1e-9):
         raise ConfigError("'replica_dist' must map counts >= 1 to a probability mass")
+    if replica[-1][0] > t_slots:
+        raise ConfigError(
+            f"'replica_dist' count {replica[-1][0]} exceeds the frame length T={t_slots}"
+        )
     return replica
 
 
@@ -244,7 +249,7 @@ def cmd_simulate(args) -> int:
     if mode == "spatio":
         if "t" not in doc:
             raise ConfigError("spatio frames need a frame length 't'")
-        replica = _replica_from(doc)
+        replica = _replica_from(doc, _count(doc, "t"))
     else:
         degrees = _degrees_from(doc, topology.num_groups)
     alpha = _parsed(doc, "alpha", 0.8)
@@ -389,7 +394,6 @@ def cmd_compare(args) -> int:
     doc = _load_config(args.config)
     topology = _topology_from(doc)
     degrees = _degrees_from(doc, topology.num_groups)
-    replica = _replica_from(doc, {"2": 1.0})
     gbars = _parsed(doc, "gbar_values", [0.5, 0.6, 0.7, 0.75, 0.8, 0.9],
                     lambda gs: [float(g) for g in gs])
     if not gbars or min(gbars) <= 0:
@@ -397,11 +401,12 @@ def cmd_compare(args) -> int:
     trials = _count(doc, "trials", 10)
     n = topology.num_users
     m = topology.num_bs
+    t_values = [max(1, int(round(n / (m * gbar)))) for gbar in gbars]
+    replica = _replica_from(doc, min(t_values), {"2": 1.0})
     p = np.array(TargetDegreeVector(degrees).probabilities(topology))
     weights = np.array([grp.num_users for grp in topology.groups]) / n
     rows = []
-    for gbar in gbars:
-        t = max(1, int(round(n / (m * gbar))))
+    for gbar, t in zip(gbars, t_values):
         mc_f = monte_carlo(
             SimulationSpec(
                 topology=topology, mode="fixed", degrees=degrees, t_slots=t,

@@ -14,6 +14,14 @@ frame peels by blocks and replays the block reaching floor(alpha*N) slot
 by slot (n_ret(t) is monotone); the framed baseline places every replica,
 then peels once.
 
+Each user's edges form one block of a flat edge list, blocks in user order.
+A draw is sorted by user, so each group's transmissions are one run: each
+BS column of the group counts its buckets and adds its ids, and the new
+edges go to the back of each owner's block, behind the alive old ones,
+which are moved but never re-sorted. Every ufunc.at call gets operands of
+its table's dtype (int32 counts, int64 id sums), so none leaves NumPy's
+fast path for its casting loop.
+
 RNG: numpy Philox (counter-based, philox4x64-10). Trial seeds derive from
 the master seed via SeedSequence(entropy=seed, spawn_key=(trial,)), so
 results do not depend on worker count.
@@ -73,67 +81,100 @@ class FrameResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _user_layout(topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's group and (M,) 0-based BS columns, -1 where the group is
-    not heard; users numbered group by group. Read-only, built once."""
+def _user_layout(topology: NetworkTopology):
+    """Users are numbered group by group. Returns each user's group, the
+    first user of every group (then N), each group's 0-based BS columns and
+    each user's BS count. Read-only, built once."""
     sizes = [g.num_users for g in topology.groups]
     group_of = np.repeat(np.arange(topology.num_groups), sizes)
-    bs = [[j if g.bs_mask >> j & 1 else -1 for j in range(topology.num_bs)]
-          for g in topology.groups]
-    user_bs = np.array(bs, dtype=np.int8)[group_of]
-    for a in (group_of, user_bs):
+    first = np.add.accumulate([0, *sizes], dtype=np.int32)
+    cols = tuple(np.array(g.bs_set) - 1 for g in topology.groups)
+    nbs = np.array([len(c) for c in cols], dtype=np.int8)[group_of]
+    for a in (group_of, first, nbs, *cols):
         a.setflags(write=False)
-    return group_of, user_bs
+    return group_of, first, cols, nbs
 
 
 class _EdgePeeler:
     """Buckets b = slot*M + bs up to the drawn horizon: count (int32) and id
-    sum (int64) of alive members. User u owns edges[start[u]:][:deg[u]];
+    sum (int64) of alive members. User u owns edges[end[u] - deg[u]:end[u]];
     a retrieved user's edges are all subtracted and its later ones never
     added, so no bucket holds a retrieved user."""
 
     def __init__(self, topology: NetworkTopology):
-        self.group_of, self.user_bs = _user_layout(topology)
+        self.group_of, self.first, self.cols, self.nbs = _user_layout(topology)
         self.num_groups = topology.num_groups
         self.m = np.int64(topology.num_bs)
         n = len(self.group_of)
-        self.edges = np.zeros(0, dtype=np.int64)
-        self.start = self.deg = np.zeros(n, dtype=np.int64)
+        self.edges = np.zeros(0, dtype=np.intp)
+        self.end = self.deg = np.zeros(n, dtype=np.intp)
         self.count, self.idsum = np.zeros(0, np.int32), np.zeros(0, np.int64)
         self.alive = np.ones(n, dtype=bool)
         self.mark = np.empty(n, dtype=np.int64)
         self.n_ret = self.horizon = 0
 
+    @property
+    def start(self) -> np.ndarray:
+        return self.end - self.deg
+
     def extend(self, users: np.ndarray, slots: np.ndarray, horizon: int):
-        """Add the transmission of users[i] in slots[i] for every i (slots
-        below `horizon`), leaving out retrieved users."""
+        """Add the transmission of users[i] in slots[i] for every i, leaving
+        out retrieved users; every slot lies in [self.horizon, horizon).
+        Sorted by user, each group's transmissions are one run of the input;
+        each BS column of the group adds them to its buckets, and the
+        group's edges, in owner order, go to the back of each owner's block.
+        An alive user's old edges keep their order at the front."""
+        lo, m = self.horizon, self.m
         if self.n_ret:
-            users, slots = users[self.alive[users]], slots[self.alive[users]]
-        bs = self.user_bs[users]
-        real = bs >= 0
-        n_bs = np.add.reduce(real, axis=1, dtype=np.int8)
-        new, owner = slots.repeat(n_bs) * self.m, users.repeat(n_bs)
-        new += bs[real]
-        del bs, real, users, slots
-        grow = horizon * self.m - len(self.count)
-        self.count = np.concatenate([self.count, np.zeros(grow, np.int32)])
-        self.idsum = np.concatenate([self.idsum, np.zeros(grow, np.int64)])
-        np.add.at(self.count, new, np.int32(1))
-        np.add.at(self.idsum, new, owner)
-        if len(self.edges):
-            old = np.arange(len(self.deg), dtype=np.int32).repeat(self.deg)
-            kept = self.alive[old]
-            owner = np.concatenate([old[kept], owner])
-            new = np.concatenate([self.edges[kept], new])
-            del old, kept, self.edges  # free them before the sort
-        self.edges = new[owner.argsort(kind="stable")]
-        self.deg = np.bincount(owner, minlength=len(self.deg))
-        self.start = np.add.accumulate(self.deg) - self.deg
+            keep = self.alive[users]
+            users, slots = users[keep], slots[keep]
+            old, kept = self.edges[self.alive.repeat(self.deg)], self.deg * self.alive
+        else:
+            old, kept = self.edges, self.deg
+        order = users.argsort(kind="stable")
+        users, slots = users[order], slots[order]
+        del order
+        add = np.bincount(users, minlength=len(kept)) * self.nbs
+        self.deg = kept + add
+        self.end = np.add.accumulate(self.deg)
+        self.edges = None  # free the old list before the new one
+        edges = np.empty(len(old) + int(add.sum()), np.intp)
+        if len(old):
+            base = self.end - np.add.accumulate(add)  # new edge i of user u: i + base[u]
+            free = np.ones(len(edges), bool)
+        del add, kept
+        for name, dtype in (("count", np.int32), ("idsum", np.int64)):
+            grown = np.zeros(horizon * m, dtype)
+            grown[: lo * m] = getattr(self, name)
+            setattr(self, name, grown)
+        cut = np.searchsorted(users, self.first)
+        o = 0
+        for g, cols in enumerate(self.cols):
+            s, u = slots[cut[g] : cut[g + 1]], users[cut[g] : cut[g + 1]]
+            if not len(s):
+                continue
+            at = slice(o, o + len(s) * len(cols))
+            o = at.stop
+            if len(old):
+                at = base[u].repeat(len(cols))
+                at += np.arange(o - len(at), o)
+                free[at] = False
+            e, sm = np.empty((len(s), len(cols)), np.intp), s * m
+            u = u.astype(np.int64)  # the id sums' dtype: ufunc.at's fast path
+            for k, j in enumerate(cols):  # one long column per BS
+                np.add(sm, j, out=e[:, k])
+                np.add.at(self.count, e[:, k], np.int32(1))
+                np.add.at(self.idsum, e[:, k], u)
+            edges[at] = e.ravel()
+        if len(old):
+            edges[free] = old
+        self.edges = edges
         self.horizon = horizon
 
     def peel(self, lo: int, hi: int):
         """Peel slots [0, hi) to fixpoint, given the fixpoint of [0, lo)."""
         lim = hi * self.m
+        below = lim < len(self.count)  # buckets from lim on are not peeled yet
         cand = (self.count[lo * self.m : lim] == 1).nonzero()[0] + lo * self.m
         while cand.size:
             users = self.idsum[cand]
@@ -144,13 +185,15 @@ class _EdgePeeler:
             self.alive[users] = False
             self.n_ret += len(users)
             deg = self.deg[users]
-            ends = np.add.accumulate(deg)
-            at = (self.start[users] - ends + deg).repeat(deg)
+            at = (self.end[users] - np.add.accumulate(deg)).repeat(deg)
             at += np.arange(len(at))
             b = self.edges[at]
             np.subtract.at(self.count, b, np.int32(1))
             np.subtract.at(self.idsum, b, users.repeat(deg))
-            cand = b[(self.count[b] == 1) & (b < lim)]
+            single = self.count[b] == 1
+            if below:
+                single &= b < lim
+            cand = b[single]
 
     def snapshot(self):
         return self.count.copy(), self.idsum.copy(), self.alive.copy(), self.n_ret
@@ -163,37 +206,52 @@ class _EdgePeeler:
         return FrameResult(t, got, len(self.alive), self.n_ret / t, terminated_by)
 
 
+@functools.lru_cache(maxsize=16)
+def _draw_plan(topology: NetworkTopology, degrees: tuple):
+    """Each group's first user (then N) and gap scale -1/ln(1 - p) (inf at
+    p = 0, 0 at p = 1) for p = G/N, and the largest p."""
+    p = TargetDegreeVector(degrees).probabilities(topology)
+    scale = tuple(math.inf if q == 0 else -1 / math.log1p(-q) if q < 1 else 0.0 for q in p)
+    return _user_layout(topology)[1], scale, max(p)
+
+
 def _bernoulli_slots(rng, topology: NetworkTopology, degrees, lo: int, hi: int):
-    """Users and slots (int32) of all transmissions in slots [lo, hi), each
+    """Users (int32) and slots of all transmissions in slots [lo, hi), each
     user sending in every slot with its group's p = G/N. Gaps are geometric,
     1 + floor(E / -ln(1 - p)) with E standard exponential, drawn k per user
     at a time (user-major); the process is memoryless, so a range starts
-    afresh at lo."""
-    if not isinstance(degrees, TargetDegreeVector):
-        degrees = TargetDegreeVector(tuple(degrees))
-    p = degrees.probabilities(topology)
-    group_of = _user_layout(topology)[0]
-    scale = [math.inf if q == 0 else -1 / math.log1p(-q) if q < 1 else 0.0 for q in p]
-    scale = np.array(scale)[group_of]
-    mean = max(p) * (hi - lo)  # the busiest user's mean count in the range
+    afresh at lo. Users are numbered group by group, so each group's rows
+    are one run, scaled by one number; the running sums go column by
+    column, so each NumPy call walks one long column, not many short rows."""
+    if isinstance(degrees, TargetDegreeVector):
+        degrees = degrees.g
+    cut, scale, p_max = _draw_plan(topology, tuple(degrees))  # cut: each group's first row
+    mean = p_max * (hi - lo)  # the busiest user's mean count in the range
     k = 1 + math.ceil(mean + math.sqrt(mean))  # most users finish in one round
     users, slots = [], []
-    active, last = np.arange(len(group_of), dtype=np.int32), lo - 1
+    active, last = np.arange(cut[-1], dtype=np.int32), lo - 1
     while True:
         at = rng.standard_exponential((len(active), k))
-        at *= scale[active][:, None]
+        for g, q in enumerate(scale):
+            at[cut[g] : cut[g + 1]] *= q
         np.floor(at, out=at)
         at += 1
-        np.add.accumulate(at, axis=1, out=at)
+        for c in range(1, k):
+            at[:, c] += at[:, c - 1]
         at += last
-        sent = at < hi
-        n_sent = np.add.reduce(sent, axis=1)
-        users.append(active.repeat(n_sent))
-        slots.append(at[sent].astype(np.int32))
-        more = n_sent == k
-        if not more.any():
+        sent = (at < hi).ravel()
+        idx = sent.nonzero()[0]
+        more = sent[k - 1 :: k].nonzero()[0]  # a user's slots rise: all k sent iff the last is
+        slot = at.ravel()[idx]
+        last = at[more, -1:]
+        del at, sent  # free the draw before the integer copies
+        idx //= k
+        users.append(active[idx])
+        slots.append(slot.astype(np.intp))
+        del idx, slot
+        if not len(more):
             return np.concatenate(users), np.concatenate(slots)
-        active, last = active[more], at[more, -1:]
+        active, cut = active[more], np.searchsorted(more, cut)
 
 
 def run_frame(

@@ -45,12 +45,20 @@ group probability, a transmission lands in the bucket of every BS the
 group reaches, and joint SIC runs to fixpoint after each slot in per-user
 Python; retrieved users are never sampled again.
 
+Frame kernels in their plain form, the bit-exact references for the
+peeler and slot draws of `frameless.simulator`: the draw scales and sums
+whole k-column rows and counts each row's slots; extend gathers every
+transmission's (M,) BS columns, scatters id sums with `np.add.at` (an
+int64 table and the draw's int32 ids, NumPy's casting loop) and re-sorts
+every alive edge by owner; the peeler keeps each user's block start.
+
 Tiny-instance enumeration by a per-realization loop, the reference for the
 bit-parallel enumeration of the criterion-8 checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -549,6 +557,130 @@ def _frameless_run(
         throughput=peel.n_ret / t,
         terminated_by="slot_cap" if threshold is not None else "fixed",
     )
+
+
+@functools.lru_cache(maxsize=16)
+def user_layout(topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's group and (M,) 0-based BS columns, -1 where the group is
+    not heard; users numbered group by group. Read-only, built once."""
+    sizes = [g.num_users for g in topology.groups]
+    group_of = np.repeat(np.arange(topology.num_groups), sizes)
+    bs = [[j if g.bs_mask >> j & 1 else -1 for j in range(topology.num_bs)]
+          for g in topology.groups]
+    user_bs = np.array(bs, dtype=np.int8)[group_of]
+    for a in (group_of, user_bs):
+        a.setflags(write=False)
+    return group_of, user_bs
+
+
+class EdgePeeler:
+    """Buckets b = slot*M + bs up to the drawn horizon: count (int32) and id
+    sum (int64) of alive members. User u owns edges[start[u]:][:deg[u]];
+    a retrieved user's edges are all subtracted and its later ones never
+    added, so no bucket holds a retrieved user."""
+
+    def __init__(self, topology: NetworkTopology):
+        self.group_of, self.user_bs = user_layout(topology)
+        self.num_groups = topology.num_groups
+        self.m = np.int64(topology.num_bs)
+        n = len(self.group_of)
+        self.edges = np.zeros(0, dtype=np.int64)
+        self.start = self.deg = np.zeros(n, dtype=np.int64)
+        self.count, self.idsum = np.zeros(0, np.int32), np.zeros(0, np.int64)
+        self.alive = np.ones(n, dtype=bool)
+        self.mark = np.empty(n, dtype=np.int64)
+        self.n_ret = self.horizon = 0
+
+    def extend(self, users: np.ndarray, slots: np.ndarray, horizon: int):
+        """Add the transmission of users[i] in slots[i] for every i (slots
+        below `horizon`), leaving out retrieved users."""
+        if self.n_ret:
+            users, slots = users[self.alive[users]], slots[self.alive[users]]
+        bs = self.user_bs[users]
+        real = bs >= 0
+        n_bs = np.add.reduce(real, axis=1, dtype=np.int8)
+        new, owner = slots.repeat(n_bs) * self.m, users.repeat(n_bs)
+        new += bs[real]
+        del bs, real, users, slots
+        grow = horizon * self.m - len(self.count)
+        self.count = np.concatenate([self.count, np.zeros(grow, np.int32)])
+        self.idsum = np.concatenate([self.idsum, np.zeros(grow, np.int64)])
+        np.add.at(self.count, new, np.int32(1))
+        np.add.at(self.idsum, new, owner)
+        if len(self.edges):
+            old = np.arange(len(self.deg), dtype=np.int32).repeat(self.deg)
+            kept = self.alive[old]
+            owner = np.concatenate([old[kept], owner])
+            new = np.concatenate([self.edges[kept], new])
+            del old, kept, self.edges  # free them before the sort
+        self.edges = new[owner.argsort(kind="stable")]
+        self.deg = np.bincount(owner, minlength=len(self.deg))
+        self.start = np.add.accumulate(self.deg) - self.deg
+        self.horizon = horizon
+
+    def peel(self, lo: int, hi: int):
+        """Peel slots [0, hi) to fixpoint, given the fixpoint of [0, lo)."""
+        lim = hi * self.m
+        cand = (self.count[lo * self.m : lim] == 1).nonzero()[0] + lo * self.m
+        while cand.size:
+            users = self.idsum[cand]
+            if len(users) > 1:  # one copy of a user found in several buckets
+                first = np.arange(len(users))
+                self.mark[users] = first
+                users = users[self.mark[users] == first]
+            self.alive[users] = False
+            self.n_ret += len(users)
+            deg = self.deg[users]
+            ends = np.add.accumulate(deg)
+            at = (self.start[users] - ends + deg).repeat(deg)
+            at += np.arange(len(at))
+            b = self.edges[at]
+            np.subtract.at(self.count, b, np.int32(1))
+            np.subtract.at(self.idsum, b, users.repeat(deg))
+            cand = b[(self.count[b] == 1) & (b < lim)]
+
+    def snapshot(self):
+        return self.count.copy(), self.idsum.copy(), self.alive.copy(), self.n_ret
+
+    def restore(self, snap):
+        self.count, self.idsum, self.alive, self.n_ret = snap
+
+    def result(self, t: int, terminated_by: str) -> FrameResult:
+        got = np.bincount(self.group_of[~self.alive], minlength=self.num_groups)
+        return FrameResult(t, got, len(self.alive), self.n_ret / t, terminated_by)
+
+
+def bernoulli_slots(rng, topology: NetworkTopology, degrees, lo: int, hi: int):
+    """Users and slots (int32) of all transmissions in slots [lo, hi), each
+    user sending in every slot with its group's p = G/N. Gaps are geometric,
+    1 + floor(E / -ln(1 - p)) with E standard exponential, drawn k per user
+    at a time (user-major); the process is memoryless, so a range starts
+    afresh at lo."""
+    if not isinstance(degrees, TargetDegreeVector):
+        degrees = TargetDegreeVector(tuple(degrees))
+    p = degrees.probabilities(topology)
+    group_of = user_layout(topology)[0]
+    scale = [math.inf if q == 0 else -1 / math.log1p(-q) if q < 1 else 0.0 for q in p]
+    scale = np.array(scale)[group_of]
+    mean = max(p) * (hi - lo)  # the busiest user's mean count in the range
+    k = 1 + math.ceil(mean + math.sqrt(mean))  # most users finish in one round
+    users, slots = [], []
+    active, last = np.arange(len(group_of), dtype=np.int32), lo - 1
+    while True:
+        at = rng.standard_exponential((len(active), k))
+        at *= scale[active][:, None]
+        np.floor(at, out=at)
+        at += 1
+        np.add.accumulate(at, axis=1, out=at)
+        at += last
+        sent = at < hi
+        n_sent = np.add.reduce(sent, axis=1)
+        users.append(active.repeat(n_sent))
+        slots.append(at[sent].astype(np.int32))
+        more = n_sent == k
+        if not more.any():
+            return np.concatenate(users), np.concatenate(slots)
+        active, last = active[more], at[more, -1:]
 
 
 def dag_evaluate(dag, v: np.ndarray) -> np.ndarray:

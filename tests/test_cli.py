@@ -408,6 +408,43 @@ def test_simulate_replica_dist_without_t_is_a_config_error(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", {"t": 100, "replica_dist": {"500": 1.0}}),
+        # T is 200 at Gbar = 0.5 but 125 at Gbar = 0.8: the shortest frame decides.
+        ("compare", {"replica_dist": {"150": 1.0}, "gbar_values": [0.5, 0.8]}),
+    ],
+    ids=["simulate", "compare"],
+)
+def test_replica_count_above_the_frame_length_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, extra
+):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame ran before the config was checked")
+
+    monkeypatch.setattr(cli, "monte_carlo", no_frames)
+    doc = {
+        "topology": {
+            "num_bs": 2,
+            "groups": [
+                {"bs_set": [1], "num_users": 100},
+                {"bs_set": [1, 2], "num_users": 100},
+            ],
+        },
+        "degrees": [1.0, 1.0],
+        **extra,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("script", ["compare_baseline.py", "gain_vs_bs.py"])
 def test_scripts_exit_like_the_cli_on_a_bad_config(tmp_path, script):
     bad = tmp_path / "bad.json"
