@@ -20,6 +20,13 @@ from frameless.cli import main as cli
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def network_config(m: int, trials: int) -> dict:
+    """configs/table1_mM.json with the given trial count."""
+    doc = json.loads((CONFIGS / f"table1_m{m}.json").read_text())
+    doc["trials"] = trials
+    return doc
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m", type=int, nargs="+", default=[1, 2, 3])
@@ -36,10 +43,8 @@ def main():
     for m in args.m:
         out = Path(args.out) / f"m{m}"
         out.mkdir(parents=True, exist_ok=True)
-        doc = json.loads((CONFIGS / f"table1_m{m}.json").read_text())
-        doc["trials"] = args.trials
         config = out / "config.json"
-        config.write_text(json.dumps(doc, indent=2) + "\n")
+        config.write_text(json.dumps(network_config(m, args.trials), indent=2) + "\n")
         common = ["--config", str(config), "--seed", str(args.seed),
                   "--workers", str(args.workers)]
         analysis = ["--cache-dir", args.cache_dir] if args.cache_dir else []

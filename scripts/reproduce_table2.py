@@ -26,6 +26,17 @@ TABLE2 = {
 }
 
 
+def network_config(row: str, trials: int) -> dict:
+    """Row's network with its printed optimal degrees."""
+    (n1, n3), (g1, g3), _ = TABLE2[row]
+    return {
+        "topology": json.loads(serialize_topology(full_topology(2, [n1, n1, n3]))),
+        "degrees": [g1, g1, g3],
+        "alpha": 0.8,
+        "trials": trials,
+    }
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rows", nargs="+", default=list(TABLE2))
@@ -40,16 +51,11 @@ def main():
 
     status = 0
     for row in args.rows:
-        (n1, n3), (g1, g3), expect = TABLE2[row]
+        (n1, n3), _, expect = TABLE2[row]
         out = Path(args.out) / row
         out.mkdir(parents=True, exist_ok=True)
         config = out / "config.json"
-        config.write_text(json.dumps({
-            "topology": json.loads(serialize_topology(full_topology(2, [n1, n1, n3]))),
-            "degrees": [g1, g1, g3],
-            "alpha": 0.8,
-            "trials": args.trials,
-        }, indent=2) + "\n")
+        config.write_text(json.dumps(network_config(row, args.trials), indent=2) + "\n")
         common = ["--config", str(config), "--seed", str(args.seed),
                   "--workers", str(args.workers)]
         cache = ["--cache-dir", args.cache_dir] if args.cache_dir else []

@@ -13,28 +13,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bounds import upper_bound_throughput
-from .evolution import (
-    evolve,
-    make_engine,
-    peak_search,
-    simultaneous_transmission_degrees,
-)
+from .evolution import evolve, make_engine, peak_search, simultaneous_transmission_degrees
 from .optimizer import OptimizationSpec, optimize
 from .simulator import RNG_ID, SimulationSpec, monte_carlo
-from .topology import (
-    NetworkTopology,
-    TargetDegreeVector,
-    TopologyError,
-    full_topology,
-    load_topology,
-)
+from .topology import TargetDegreeVector, TopologyError, full_topology, load_topology
 from .walkgraph import GuardError
 
 EXIT_OK = 0
@@ -46,7 +37,125 @@ MODES = ("coop", "noncoop", "bound")
 
 
 class ConfigError(ValueError):
-    pass
+    """A config the commands cannot run: exit 2, naming the key at fault."""
+
+
+# The default of a key that a command cannot run without.
+REQUIRED = object()
+
+
+def _int(v) -> int:
+    if type(v) is not int:  # JSON true and 2.7 are not integers
+        raise ValueError(f"must be an integer, got {v!r}")
+    return v
+
+
+def _float(v) -> float:
+    if type(v) not in (int, float) or not math.isfinite(v):
+        raise ValueError(f"must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _list(item):
+    def parse(v):
+        if not isinstance(v, list):
+            raise ValueError(f"must be a list, got {v!r}")
+        return tuple(item(x) for x in v)
+    return parse
+
+
+def _by_count(value):
+    """An object keyed by counts ("2") -> {int: value(...)}."""
+    def parse(v):
+        if not isinstance(v, dict):
+            raise ValueError(f"must be an object, got {v!r}")
+        if not all(k.isdecimal() for k in v):
+            raise ValueError(f"must be keyed by counts, got {list(v)}")
+        return {int(k): value(x) for k, x in v.items()}
+    return parse
+
+
+def _where(parse, test, what: str):
+    def checked(v):
+        v = parse(v)
+        if not test(v):
+            raise ValueError(f"must be {what}, got {v!r}")
+        return v
+    return checked
+
+
+_counts = _where(_int, lambda v: v >= 1, ">= 1")
+_floats = _list(_float)
+_frame_lengths = _where(_list(_int), lambda ts: ts and min(ts) >= 1,
+                        "a non-empty list of frame lengths >= 1")
+
+
+def _fields(doc: dict, fields: dict) -> dict:
+    """{key: parse(doc[key]), else default} for each key: (parse, default)
+    of fields; a missing REQUIRED key or a failed parse is a config error
+    that names the key."""
+    out = {}
+    for key, (parse, default) in fields.items():
+        if key not in doc and default is REQUIRED:
+            raise ConfigError(f"missing key '{key}'")
+        try:
+            out[key] = parse(doc[key]) if key in doc else default
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"'{key}' {e}") from e
+    return out
+
+
+def _unknown(doc: dict, known):
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown key '{key}'")
+
+
+T_GRID = {"start": (_int, REQUIRED), "stop": (_int, REQUIRED), "num": (_int, 41)}
+
+
+def _t_grid(v) -> tuple[int, ...]:
+    if not isinstance(v, dict):
+        raise ValueError(f"must be an object, got {v!r}")
+    _unknown(v, T_GRID)
+    g = _fields(v, T_GRID)
+    ts = np.linspace(g["start"], g["stop"], g["num"]).round().astype(int)
+    return _frame_lengths(np.unique(ts).tolist())
+
+
+# Every config key: its parser and, per command that reads it, its default.
+A, S, O, B, C = "analyze", "simulate", "optimize", "bounds", "compare"
+SCHEMA = {
+    "topology": (lambda v: load_topology(json.dumps(v)),
+                 {A: REQUIRED, S: REQUIRED, O: REQUIRED, C: REQUIRED}),
+    "degrees": (_floats, {A: REQUIRED, S: None, C: REQUIRED}),
+    "mode": (_where(lambda v: v, lambda v: v in MODES, f"one of {', '.join(MODES)}"),
+             {A: "coop", O: "coop"}),
+    "alpha": (_float, {S: 0.8, O: 0.8, B: 0.8}),
+    "trials": (_counts, {S: 100, C: 10}),
+    "t": (_int, {S: None}),
+    "slot_cap": (_int, {S: None}),
+    "replica_dist": (lambda v: tuple(sorted(_by_count(_float)(v).items())),
+                     {S: None, C: ((2, 1.0),)}),
+    "trace_t": (_counts, {A: None}),
+    "t_values": (_frame_lengths, {A: None}),
+    "t_grid": (_t_grid, {A: None}),
+    "tie_classes": (lambda v: _list(_list(_int))(v) if v else None, {O: None}),
+    "bounds": (_floats, {O: (0.0, 4.0)}),
+    "population": (_int, {O: 300}),
+    "mutant_factor": (_float, {O: 0.2}),
+    "generations": (_int, {O: 30}),
+    "crossover_rate": (_float, {O: 0.9}),
+    "m_values": (_list(_int), {B: (1, 2, 3, 4)}),
+    "num_users_per_group": (_counts, {B: 10000}),
+    "noncoop_degree": (_where(_float, lambda g: g > 0, "> 0"), {B: 3.098}),
+    "exact_degrees": (_by_count(_floats), {B: {}}),
+    "bound_population": (_int, {B: 30}),
+    "bound_generations": (_int, {B: 10}),
+    "gbar_values": (_where(_floats, lambda gs: gs and min(gs) > 0,
+                           "a non-empty list of values > 0"),
+                    {C: (0.5, 0.6, 0.7, 0.75, 0.8, 0.9)}),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -60,7 +169,16 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
+    _unknown(doc, SCHEMA)
     return doc
+
+
+def _config(path: str, command: str) -> tuple[dict, dict]:
+    """The config document, and every key `command` reads, parsed (else its
+    default)."""
+    doc = _load_config(path)
+    fields = {k: (parse, d[command]) for k, (parse, d) in SCHEMA.items() if command in d}
+    return doc, _fields(doc, fields)
 
 
 def config_hash(doc: dict) -> str:
@@ -69,98 +187,18 @@ def config_hash(doc: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _topology_from(doc: dict) -> NetworkTopology:
-    if "topology" not in doc:
-        raise ConfigError("config needs a 'topology' object")
+@contextmanager
+def _spec_checks():
+    """The library's spec objects check their own settings: a ValueError
+    they raise is a config error."""
     try:
-        return load_topology(json.dumps(doc["topology"]))
-    except TopologyError as e:
-        raise ConfigError(f"bad topology: {e}") from e
-
-
-def _degrees_from(doc: dict, num_groups: int, key="degrees"):
-    if key not in doc:
-        raise ConfigError(f"config needs '{key}'")
-    g = _parsed(doc, key, None, lambda g: tuple(float(v) for v in g))
-    if not isinstance(doc[key], list) or len(g) != num_groups:
-        raise ConfigError(
-            f"'{key}' must list one target degree per group ({num_groups})"
-        )
-    return g
-
-
-def _mode_from(doc: dict) -> str:
-    mode = doc.get("mode", "coop")
-    if mode not in MODES:
-        raise ConfigError(f"'mode' must be one of {', '.join(MODES)}, got {mode!r}")
-    return mode
-
-
-def _parsed(doc: dict, key: str, default, parse=float):
-    """parse(the config's `key`, else default); a value it cannot parse is a
-    config error."""
-    try:
-        return parse(doc.get(key, default))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"cannot read '{key}': {e}") from e
-
-
-def _count(doc: dict, key: str, default=None):
-    """The config's integer `key`, which must be >= 1, else default."""
-    if key not in doc:
-        return default
-    value = _parsed(doc, key, None, int)
-    if value < 1:
-        raise ConfigError(f"'{key}' must be >= 1, got {value}")
-    return value
-
-
-def _t_values(doc: dict, points: int):
-    """The first frame lengths of a peak search: the config's t_values or
-    t_grid, else None for peak_search's default grid of `points` points."""
-    if "t_values" in doc:
-        t_vals = _parsed(doc, "t_values", None, lambda ts: [int(t) for t in ts])
-    elif "t_grid" in doc:
-        spec = doc["t_grid"]
-        if not isinstance(spec, dict) or "start" not in spec or "stop" not in spec:
-            raise ConfigError("'t_grid' needs 'start' and 'stop'")
-        start, stop = _parsed(spec, "start", None, int), _parsed(spec, "stop", None, int)
-        t_vals = np.linspace(start, stop, max(0, _parsed(spec, "num", 41, int)))
-        t_vals = np.unique(t_vals.round().astype(int)).tolist()
-    elif points < 1:
-        raise ConfigError(f"--grid-points must be >= 1, got {points}")
-    else:
-        return None
-    if not t_vals or min(t_vals) < 1:
-        raise ConfigError("the T grid needs at least one T, and every T >= 1")
-    return t_vals
-
-
-def _replica_from(doc: dict, t_slots: int, default=None):
-    """The config's replica_dist, else default, as sorted (replica count,
-    probability) pairs: counts in 1..t_slots (the shortest frame) and a
-    probability mass."""
-    dist = _parsed(doc, "replica_dist", default,
-                   lambda d: {int(k): float(v) for k, v in dict(d).items()})
-    replica = tuple(sorted(dist.items()))
-    probs = np.array([p for _, p in replica])
-    # The library's test of a probability mass, which a NaN fails here too.
-    if (not replica or replica[0][0] < 1 or (probs < 0).any()
-            or not abs(probs.sum() - 1) <= 1e-9):
-        raise ConfigError("'replica_dist' must map counts >= 1 to a probability mass")
-    if replica[-1][0] > t_slots:
-        raise ConfigError(
-            f"'replica_dist' count {replica[-1][0]} exceeds the frame length T={t_slots}"
-        )
-    return replica
+        yield
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _provenance(doc: dict, args) -> dict:
-    return {
-        "tool_version": __version__,
-        "config_hash": config_hash(doc),
-        "seed": args.seed,
-    }
+    return {"tool_version": __version__, "config_hash": config_hash(doc), "seed": args.seed}
 
 
 def _meta_lines(doc: dict, args, extra=None) -> list[str]:
@@ -191,14 +229,15 @@ def _print_summary(payload: dict):
 
 
 def cmd_analyze(args) -> int:
-    doc = _load_config(args.config)
-    topology = _topology_from(doc)
-    mode = args.mode or _mode_from(doc)
+    doc, cfg = _config(args.config, "analyze")
+    topology, degrees = cfg["topology"], cfg["degrees"]
+    mode = args.mode or cfg["mode"]
     if args.trace and mode != "coop":
         raise ConfigError("--trace requires cooperative mode")
-    trace_t = _count(doc, "trace_t") if args.trace else None
-    degrees = _degrees_from(doc, topology.num_groups)
-    t_vals = _t_values(doc, args.grid_points)
+    TargetDegreeVector(degrees).probabilities(topology)  # before any table is built
+    t_vals = cfg["t_values"] if "t_values" in doc else cfg["t_grid"]
+    if t_vals is None and args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     out_dir = Path(args.out)
     engine = make_engine(topology, mode, cache_dir=args.cache_dir, workers=args.workers)
     peak = peak_search(
@@ -220,7 +259,7 @@ def cmd_analyze(args) -> int:
     }
     _emit_json(out_dir / "peak.json", doc, payload, args)
     if args.trace:
-        trace_t = trace_t or peak.t_star
+        trace_t = cfg["trace_t"] or peak.t_star
         res = evolve(topology, degrees, trace_t, engine=engine, trace=True)
         n_groups = topology.num_groups
         header = "iteration," + ",".join(
@@ -239,34 +278,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_config(args.config)
-    topology = _topology_from(doc)
+    doc, cfg = _config(args.config, "simulate")
     # The frame kind follows from the config's keys: a replica distribution
     # means the framed baseline, a frame length a fixed-length frame.
     mode = "spatio" if "replica_dist" in doc else "fixed" if "t" in doc else "frameless"
-    replica = None
-    degrees = None
-    if mode == "spatio":
-        if "t" not in doc:
-            raise ConfigError("spatio frames need a frame length 't'")
-        replica = _replica_from(doc, _count(doc, "t"))
-    else:
-        degrees = _degrees_from(doc, topology.num_groups)
-    alpha = _parsed(doc, "alpha", 0.8)
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"'alpha' must be in (0, 1], got {alpha}")
-    trials = _count(doc, "trials", 100)
-    spec = SimulationSpec(
-        topology=topology,
-        mode=mode,
-        degrees=degrees,
-        alpha=alpha,
-        t_slots=_count(doc, "t"),
-        slot_cap=_count(doc, "slot_cap"),
-        replica_dist=replica,
-        master_seed=args.seed,
-    )
-    result = monte_carlo(spec, trials, workers=args.workers)
+    with _spec_checks():
+        spec = SimulationSpec(
+            topology=cfg["topology"],
+            mode=mode,
+            degrees=cfg["degrees"],
+            alpha=cfg["alpha"],
+            t_slots=cfg["t"],
+            slot_cap=cfg["slot_cap"],
+            replica_dist=cfg["replica_dist"],
+            master_seed=args.seed,
+        )
+    result = monte_carlo(spec, cfg["trials"], workers=args.workers)
     out_dir = Path(args.out)
     _write(
         out_dir / "trials.csv",
@@ -275,36 +302,16 @@ def cmd_simulate(args) -> int:
     )
     payload = result.summary()
     _emit_json(out_dir / "aggregate.json", doc, payload, args)
-    _print_summary(
-        {
-            "mean_throughput": payload["mean_throughput"],
-            "stderr_throughput": payload["stderr_throughput"],
-            "mean_plr": payload["mean_plr"],
-            "mean_t": payload["mean_t"],
-        },
-    )
+    _print_summary({k: payload[k] for k in ("mean_throughput", "stderr_throughput",
+                                            "mean_plr", "mean_t")})
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    doc = _load_config(args.config)
-    topology = _topology_from(doc)
-    try:
-        spec = OptimizationSpec(
-            topology=topology,
-            alpha=_parsed(doc, "alpha", 0.8),
-            mode=_mode_from(doc),
-            tie_classes=_parsed(doc, "tie_classes", None,
-                                lambda t: tuple(tuple(c) for c in t) if t else None),
-            bounds=_parsed(doc, "bounds", (0.0, 4.0), lambda b: tuple(float(v) for v in b)),
-            population=_parsed(doc, "population", 300, int),
-            mutant_factor=_parsed(doc, "mutant_factor", 0.2),
-            generations=_parsed(doc, "generations", 30, int),
-            crossover_rate=_parsed(doc, "crossover_rate", 0.9),
-            cache_dir=args.cache_dir,
-        )
-    except ValueError as e:  # the spec checks its own settings
-        raise ConfigError(str(e)) from e
+    doc, cfg = _config(args.config, "optimize")
+    with _spec_checks():  # every key optimize reads is a field of the spec
+        spec = OptimizationSpec(**cfg, cache_dir=args.cache_dir)
+    topology = spec.topology
     result = optimize(spec, seed=args.seed, workers=args.workers, fast=args.fast)
     out_dir = Path(args.out)
     payload = result.summary()
@@ -316,43 +323,32 @@ def cmd_optimize(args) -> int:
         _meta_lines(doc, args)
         + [f"{gcols},t_star,throughput,feasible", f"{gvals},{result.t_star},{result.throughput!r},{int(result.feasible)}"],
     )
-    _print_summary(
-        {
-            "best_g": [round(v, 4) for v in result.best_g],
-            "throughput": result.throughput,
-            "t_star": result.t_star,
-            "feasible": result.feasible,
-        },
-    )
+    _print_summary({"best_g": [round(v, 4) for v in result.best_g],
+                    "throughput": result.throughput, "t_star": result.t_star,
+                    "feasible": result.feasible})
     return EXIT_OK if result.feasible else EXIT_NONCONV
 
 
 def cmd_bounds(args) -> int:
-    doc = _load_config(args.config)
-    m_values = _parsed(doc, "m_values", [1, 2, 3, 4], lambda ms: [int(m) for m in ms])
-    n_per_group = _parsed(doc, "num_users_per_group", 10000, int)
-    g_single = _parsed(doc, "noncoop_degree", 3.098)
-    # Every M's exact degrees, keyed by M, checked before the first search.
-    exact = _parsed(doc, "exact_degrees", {},
-                    lambda d: {int(m): g for m, g in dict(d).items()})
-    exact_g = {m: _degrees_from(exact, 2**m - 1, m) for m in exact}
-    try:  # the bound search's DE settings, checked before any work
-        bound_specs = [
-            OptimizationSpec(
-                topology=full_topology(m, [n_per_group] * (2**m - 1)),
-                mode="bound",
-                alpha=_parsed(doc, "alpha", 0.8),
-                population=_parsed(doc, "bound_population", 30, int),
-                generations=_parsed(doc, "bound_generations", 10, int),
-            )
+    doc, cfg = _config(args.config, "bounds")
+    m_values, exact = cfg["m_values"], cfg["exact_degrees"]
+    with _spec_checks():  # every M's DE settings and exact degrees, before any work
+        bound_specs = {
+            m: OptimizationSpec(
+                full_topology(m, [cfg["num_users_per_group"]] * (2**m - 1)), cfg["alpha"],
+                "bound", population=cfg["bound_population"],
+                generations=cfg["bound_generations"])
             for m in m_values
-        ]
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+        }
+        for m, g in exact.items():
+            if m not in bound_specs:
+                raise ConfigError(f"'exact_degrees' names M={m}, which 'm_values' does not list")
+            TargetDegreeVector(g).probabilities(bound_specs[m].topology)
     rows = []
-    for m, bound_spec in zip(m_values, bound_specs):
+    for m in m_values:
+        bound_spec = bound_specs[m]
         topology = bound_spec.topology
-        g_nc = simultaneous_transmission_degrees(topology, g_single)
+        g_nc = simultaneous_transmission_degrees(topology, cfg["noncoop_degree"])
         pk_nc = peak_search(topology, g_nc, "noncoop")
         s_up = upper_bound_throughput(m)
         row = {
@@ -364,14 +360,9 @@ def cmd_bounds(args) -> int:
         opt_b = optimize(bound_spec, seed=args.seed, workers=args.workers)
         row["s_lower"] = opt_b.throughput
         row["gamma_lower"] = opt_b.throughput / pk_nc.throughput
-        if m in exact_g:
-            pk_c = peak_search(
-                topology,
-                exact_g[m],
-                "coop",
-                cache_dir=args.cache_dir,
-                workers=args.workers,
-            )
+        if m in exact:
+            pk_c = peak_search(topology, exact[m], "coop", cache_dir=args.cache_dir,
+                               workers=args.workers)
             row["s_exact"] = pk_c.throughput
             row["gamma_exact"] = pk_c.throughput / pk_nc.throughput
         rows.append(row)
@@ -381,48 +372,29 @@ def cmd_bounds(args) -> int:
             + (f" S_exact={row['s_exact']:.4f}" if "s_exact" in row else "")
         )
     out_dir = Path(args.out)
-    cols = [
-        "m", "s_noncoop", "s_lower", "s_upper", "s_exact",
-        "gamma_lower", "gamma_exact", "gamma_upper",
-    ]
+    cols = ["m", "s_noncoop", "s_lower", "s_upper", "s_exact",
+            "gamma_lower", "gamma_exact", "gamma_upper"]
     _write(out_dir / "bounds.csv", _table_lines(doc, args, cols, rows))
     _emit_json(out_dir / "bounds.json", doc, {"rows": rows}, args)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    doc = _load_config(args.config)
-    topology = _topology_from(doc)
-    degrees = _degrees_from(doc, topology.num_groups)
-    gbars = _parsed(doc, "gbar_values", [0.5, 0.6, 0.7, 0.75, 0.8, 0.9],
-                    lambda gs: [float(g) for g in gs])
-    if not gbars or min(gbars) <= 0:
-        raise ConfigError("'gbar_values' needs at least one value, each > 0")
-    trials = _count(doc, "trials", 10)
-    n = topology.num_users
-    m = topology.num_bs
-    t_values = [max(1, int(round(n / (m * gbar)))) for gbar in gbars]
-    replica = _replica_from(doc, min(t_values), {"2": 1.0})
+    doc, cfg = _config(args.config, "compare")
+    topology, degrees = cfg["topology"], cfg["degrees"]
+    n, m = topology.num_users, topology.num_bs
+    t_values = [max(1, int(round(n / (m * gbar)))) for gbar in cfg["gbar_values"]]
+    with _spec_checks():  # every frame of the sweep, before the first one runs
+        specs = [(SimulationSpec(topology, "fixed", degrees, t_slots=t, master_seed=args.seed),
+                  SimulationSpec(topology, "spatio", replica_dist=cfg["replica_dist"],
+                                 t_slots=t, master_seed=args.seed + 1))
+                 for t in t_values]
     p = np.array(TargetDegreeVector(degrees).probabilities(topology))
     weights = np.array([grp.num_users for grp in topology.groups]) / n
     rows = []
-    for gbar, t in zip(gbars, t_values):
-        mc_f = monte_carlo(
-            SimulationSpec(
-                topology=topology, mode="fixed", degrees=degrees, t_slots=t,
-                master_seed=args.seed,
-            ),
-            trials,
-            workers=args.workers,
-        )
-        mc_b = monte_carlo(
-            SimulationSpec(
-                topology=topology, mode="spatio", replica_dist=replica, t_slots=t,
-                master_seed=args.seed + 1,
-            ),
-            trials,
-            workers=args.workers,
-        )
+    for gbar, t, (spec_f, spec_b) in zip(cfg["gbar_values"], t_values, specs):
+        mc_f = monte_carlo(spec_f, cfg["trials"], workers=args.workers)
+        mc_b = monte_carlo(spec_b, cfg["trials"], workers=args.workers)
         floor = float(weights @ (1.0 - p) ** t)
         rows.append(
             {

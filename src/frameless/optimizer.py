@@ -48,6 +48,13 @@ class OptimizationSpec:
             raise ValueError(f"degenerate bounds {self.bounds}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.generations < 0:
+            raise ValueError(f"generations must be >= 0, got {self.generations}")
+        if not 0.0 <= self.crossover_rate <= 1.0:
+            raise ValueError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
+        # Storn & Price's range of the differential weight; NaN fails too.
+        if not 0.0 < self.mutant_factor <= 2.0:
+            raise ValueError(f"mutant_factor must be in (0, 2], got {self.mutant_factor}")
         self.classes()  # raises on overlapping or incomplete tie classes
 
     def classes(self) -> tuple[tuple[int, ...], ...]:

@@ -254,6 +254,30 @@ def _bernoulli_slots(rng, topology: NetworkTopology, degrees, lo: int, hi: int):
         active, cut = active[more], np.searchsorted(more, cut)
 
 
+def _check_frame(topology: NetworkTopology, mode: str, alpha=0.8, t_slots=None,
+                 slot_cap=None, replica_dist=None):
+    """Raise ValueError unless frames of this mode can run with these
+    settings; SimulationSpec and each run_* function check through here."""
+    if mode not in ("frameless", "fixed", "spatio"):
+        raise ValueError(f"unknown simulation mode {mode!r}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if mode == "frameless":
+        if math.floor(alpha * topology.num_users) < 1:
+            raise ValueError("floor(alpha*N) = 0; nothing to wait for")
+        if slot_cap is not None and slot_cap < 1:
+            raise ValueError(f"slot_cap must be >= 1, got {slot_cap}")
+    elif t_slots is None or t_slots < 1:
+        raise ValueError(f"{mode} frames need a frame length T >= 1, got {t_slots}")
+    elif mode == "spatio":
+        dist = dict(replica_dist or ())
+        probs = np.array(list(dist.values()), dtype=float)
+        if not dist or (probs < 0).any() or not abs(probs.sum() - 1.0) <= 1e-9:
+            raise ValueError("replica distribution must be a probability mass")
+        if not 1 <= min(dist) <= max(dist) <= t_slots:
+            raise ValueError(f"replica degrees must lie in 1..T={t_slots}")
+
+
 def run_frame(
     topology: NetworkTopology,
     degrees,
@@ -263,16 +287,11 @@ def run_frame(
 ) -> FrameResult:
     """Frameless frame: terminate once floor(alpha*N) packets are retrieved
     (or at slot_cap, flagged in the result)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_frame(topology, "frameless", alpha, slot_cap=slot_cap)
     n = topology.num_users
     threshold = math.floor(alpha * n)
-    if threshold < 1:
-        raise ValueError(f"floor(alpha*N) = {threshold}; nothing to wait for")
     if slot_cap is None:
         slot_cap = math.ceil(10 * n / topology.num_bs)
-    if slot_cap < 1:
-        raise ValueError("slot_cap must be >= 1")
     rng, peel = _make_rng(seed), _EdgePeeler(topology)
     # T >= threshold/M (a retrieval empties one of M buckets); then grow by 1/4.
     horizon = min(slot_cap, -(-threshold // topology.num_bs))
@@ -297,8 +316,7 @@ def run_frame(
 
 def run_fixed_frame(topology: NetworkTopology, degrees, t_slots: int, seed) -> FrameResult:
     """Frameless transmission over exactly t_slots, no threshold stop."""
-    if t_slots < 1:
-        raise ValueError(f"frame length must be >= 1, got {t_slots}")
+    _check_frame(topology, "fixed", t_slots=t_slots)
     rng, peel = _make_rng(seed), _EdgePeeler(topology)
     peel.extend(*_bernoulli_slots(rng, topology, degrees, 0, t_slots), t_slots)
     peel.peel(0, t_slots)
@@ -310,14 +328,9 @@ def run_spatio_temporal(
 ) -> FrameResult:
     """Framed baseline: each user draws a replica count from replica_dist
     ({degree: probability}) and places that many copies in distinct slots."""
-    if t_slots < 1:
-        raise ValueError(f"frame length must be >= 1, got {t_slots}")
+    _check_frame(topology, "spatio", t_slots=t_slots, replica_dist=replica_dist)
     degs = sorted(replica_dist)
     probs = np.array([replica_dist[s] for s in degs], dtype=float)
-    if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("replica distribution must be a probability mass")
-    if degs and (degs[0] < 1 or degs[-1] > t_slots):
-        raise ValueError(f"replica degrees must lie in 1..T={t_slots}")
     rng, peel = _make_rng(seed), _EdgePeeler(topology)
     draws = rng.choice(len(degs), size=len(peel.alive), p=probs)
     users, slots = [], []
@@ -348,6 +361,16 @@ class SimulationSpec:
     replica_dist: tuple[tuple[int, float], ...] | None = None
     master_seed: int = 0
 
+    def __post_init__(self):
+        """Every setting is checked before the first trial; frameless and
+        fixed frames need target degrees, one per group, each p <= 1."""
+        _check_frame(self.topology, self.mode, self.alpha, self.t_slots, self.slot_cap,
+                     self.replica_dist)
+        if self.mode != "spatio":
+            if self.degrees is None:
+                raise ValueError(f"{self.mode} frames need target degrees")
+            TargetDegreeVector(self.degrees).probabilities(self.topology)
+
     def trial_seed(self, trial: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(trial,)
@@ -356,16 +379,10 @@ class SimulationSpec:
     def run_trial(self, trial: int) -> FrameResult:
         seed = self.trial_seed(trial)
         if self.mode == "frameless":
-            return run_frame(
-                self.topology, self.degrees, self.alpha, seed, self.slot_cap
-            )
+            return run_frame(self.topology, self.degrees, self.alpha, seed, self.slot_cap)
         if self.mode == "fixed":
             return run_fixed_frame(self.topology, self.degrees, self.t_slots, seed)
-        if self.mode == "spatio":
-            return run_spatio_temporal(
-                self.topology, dict(self.replica_dist), self.t_slots, seed
-            )
-        raise ValueError(f"unknown simulation mode {self.mode!r}")
+        return run_spatio_temporal(self.topology, dict(self.replica_dist), self.t_slots, seed)
 
 
 def _trial_task(args):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,8 +189,8 @@ class TargetDegreeVector:
     def __post_init__(self):
         object.__setattr__(self, "g", tuple(float(v) for v in self.g))
         for v in self.g:
-            if v < 0:
-                raise TopologyError(f"negative target degree {v}")
+            if not 0 <= v < math.inf:  # NaN fails too
+                raise TopologyError(f"target degree {v} is not in [0, inf)")
 
     def probabilities(self, topology: NetworkTopology) -> tuple[float, ...]:
         """p_i = G_i / N_i per group; 0 for empty groups. Errors if any p_i > 1."""

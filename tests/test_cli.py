@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,9 @@ from frameless.cli import (
     main,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+NAN = float("nan")
 
 
 def run(args):
@@ -102,6 +106,50 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+# Inputs the config schema or a library spec rejects, each with the key its
+# error names: non-integral or non-finite numbers, out-of-range DE settings,
+# exact degrees for an M the run does not list, one misspelled key per
+# command, and bounds settings that would end in a traceback.
+NAMED_ERRORS = [
+    ("simulate", {"trials": 2.7, "t": 2300.9}, "trials"),
+    ("simulate", {"trials": True}, "trials"),
+    ("analyze", {"t_values": [2000.5, 2500]}, "t_values"),
+    ("compare", {"gbar_values": [NAN]}, "gbar_values"),
+    ("simulate", {"degrees": [NAN]}, "degrees"),
+    ("analyze", {"degrees": [NAN]}, "degrees"),
+    ("optimize", {"mutant_factor": NAN}, "mutant_factor"),
+    ("optimize", {"generations": -3}, "generations"),
+    ("optimize", {"crossover_rate": 7}, "crossover_rate"),
+    ("bounds", {"m_values": [1], "exact_degrees": {"2": [1.0, 1.0, 1.0]}}, "M=2"),
+    ("analyze", {"mdoe": "bound"}, "mdoe"),
+    ("simulate", {"trails": 3}, "trails"),
+    ("optimize", {"populaton": 4}, "populaton"),
+    ("bounds", {"m_value": [1]}, "m_value"),
+    ("compare", {"gbar_value": [0.8]}, "gbar_value"),
+    ("analyze", {"t_grid": {"start": 1000, "stop": 3000, "nun": 5}}, "nun"),
+    ("bounds", {"m_values": [1], "num_users_per_group": 0}, "num_users_per_group"),
+    ("bounds", {"m_values": [1], "noncoop_degree": 0}, "noncoop_degree"),
+]
+NAMED_ERROR_IDS = [
+    "simulate-trials-not-an-integer", "simulate-trials-true",
+    "analyze-t-values-not-integers", "compare-gbar-nan", "simulate-degree-nan",
+    "analyze-degree-nan", "optimize-mutant-factor-nan",
+    "optimize-generations-negative", "optimize-crossover-rate-above-1",
+    "bounds-exact-degrees-unlisted-m", "analyze-misspelled-mode",
+    "simulate-misspelled-trials", "optimize-misspelled-population",
+    "bounds-misspelled-m-values", "compare-misspelled-gbar-values",
+    "analyze-misspelled-t-grid-num", "bounds-users-0", "bounds-noncoop-degree-0",
+]
+
+
+@pytest.mark.parametrize("command, extra, key", NAMED_ERRORS, ids=NAMED_ERROR_IDS)
+def test_config_error_names_the_key(tmp_path, capsys, command, extra, key):
+    cfg = small_m1_config(tmp_path, **extra)
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -140,6 +188,7 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
         ("simulate", {"t": 2300, "replica_dist": {"0": 1.0}}),
         ("compare", {"replica_dist": {}}),
         ("compare", {"replica_dist": {"2": 1.5, "3": -0.5}}),
+        *[(command, extra) for command, extra, _ in NAMED_ERRORS],
     ],
     ids=[
         "simulate-trials-0", "simulate-alpha-above-1", "compare-gbar-empty",
@@ -158,16 +207,18 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
         "simulate-replica-probability-not-a-number", "simulate-replica-not-a-mass",
         "simulate-replica-count-0", "compare-replica-empty",
         "compare-replica-negative-probability",
+        *NAMED_ERROR_IDS,
     ],
 )
 def test_config_value_the_library_rejects_is_a_config_error(
     tmp_path, capsys, monkeypatch, command, extra
 ):
-    def no_search(*args, **kwargs):
-        raise AssertionError("a DE search ran before the config was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("a search or frame ran before the config was checked")
 
-    # A bad value must stop a command before its first search.
-    monkeypatch.setattr(cli, "optimize", no_search)
+    # A bad value must stop a command before its first search or frame.
+    for name in ("optimize", "peak_search", "monte_carlo"):
+        monkeypatch.setattr(cli, name, no_work)
     cfg = small_m1_config(tmp_path, **extra)
     out = tmp_path / "out"
     assert run([*command.split(), "--config", cfg, "--out", out]) == EXIT_CONFIG
@@ -329,9 +380,56 @@ def test_guard_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+# The commands each shipped config serves.
+SHIPPED = {
+    "table1_m1.json": "analyze simulate optimize",
+    "table1_m2.json": "analyze simulate optimize",
+    "table1_m3.json": "analyze simulate optimize",
+    "table1_m4.json": "analyze simulate optimize",
+    "optimize_m2.json": "optimize",
+    "gain_bounds.json": "bounds",
+    "compare_baseline.json": "compare optimize",
+}
+
+
 def test_shipped_configs_parse():
-    for cfg in CONFIGS.glob("*.json"):
-        json.loads(cfg.read_text())
+    assert {p.name for p in CONFIGS.glob("*.json")} == set(SHIPPED)
+    for name, commands in SHIPPED.items():
+        for command in commands.split():
+            cli._config(CONFIGS / name, command)
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_configs_the_reproduce_scripts_write_parse(tmp_path):
+    table1, table2 = _script("reproduce_table1"), _script("reproduce_table2")
+    docs = [(table1.network_config(m, 100), "analyze simulate optimize")
+            for m in (1, 2, 3, 4)]
+    for row in table2.TABLE2:  # trials = 0 (the default) runs no simulation
+        docs.append((table2.network_config(row, 0), "analyze optimize"))
+        docs.append((table2.network_config(row, 2), "analyze simulate optimize"))
+    cfg = tmp_path / "config.json"
+    for doc, commands in docs:
+        cfg.write_text(json.dumps(doc, indent=2) + "\n")
+        for command in commands.split():
+            cli._config(cfg, command)
+
+
+def test_readme_lists_every_config_key_with_its_commands():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| key | commands | default |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, commands = line.split("|")[1:3]
+        rows[key.strip().strip("`")] = set(re.findall(r"`(\w+)`", commands))
+    assert rows == {key: set(reads) for key, (_, reads) in cli.SCHEMA.items()}
 
 
 # Flags each subcommand registers: exactly the ones its command reads.

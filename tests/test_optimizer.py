@@ -31,6 +31,30 @@ def test_spec_validation():
         OptimizationSpec(topology=topo, alpha=0.0)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"generations": -3},
+        {"crossover_rate": 7.0},
+        {"crossover_rate": -0.1},
+        {"mutant_factor": float("nan")},
+        {"mutant_factor": 0.0},
+        {"mutant_factor": 2.5},
+    ],
+    ids=["generations-negative", "crossover-above-1", "crossover-negative",
+         "mutant-nan", "mutant-0", "mutant-above-2"],
+)
+def test_spec_rejects_de_settings_out_of_range(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        OptimizationSpec(topology=full_topology(1, [100]), **setting)
+
+
+def test_spec_accepts_de_settings_at_their_limits():
+    topo = full_topology(1, [100])
+    OptimizationSpec(topology=topo, generations=0, crossover_rate=0.0, mutant_factor=2.0)
+    OptimizationSpec(topology=topo, crossover_rate=1.0)
+
+
 def test_classes_default_by_degree():
     topo = full_topology(2, [100, 100, 100])
     spec = OptimizationSpec(topology=topo)

@@ -51,6 +51,34 @@ def test_alpha_validation():
         run_frame(topo, (3.0,), alpha=1.2, seed=0)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(mode="slotted", degrees=(3.0,)),
+        dict(mode="frameless", degrees=(3.0,), alpha=1.5),
+        dict(mode="frameless", degrees=(3.0,), slot_cap=0),
+        dict(mode="frameless"),
+        dict(mode="frameless", degrees=(3.0, 3.0)),
+        dict(mode="fixed", degrees=(3.0,)),
+        dict(mode="fixed", degrees=(3.0,), t_slots=0),
+        dict(mode="fixed", degrees=(3.0,), t_slots=50, alpha=0.0),
+        dict(mode="spatio", t_slots=50),
+        dict(mode="spatio", replica_dist=((2, 1.0),)),
+        dict(mode="spatio", replica_dist=((2, 0.5),), t_slots=50),
+        dict(mode="spatio", replica_dist=((2, float("nan")),), t_slots=50),
+        dict(mode="spatio", replica_dist=((0, 1.0),), t_slots=50),
+        dict(mode="spatio", replica_dist=((60, 1.0),), t_slots=50),
+    ],
+    ids=["mode-unknown", "alpha-above-1", "slot-cap-0", "no-degrees",
+         "degrees-wrong-length", "fixed-without-t", "fixed-t-0", "alpha-0",
+         "spatio-without-replica", "spatio-without-t", "replica-not-a-mass",
+         "replica-nan", "replica-count-0", "replica-count-above-t"],
+)
+def test_spec_checks_its_settings_before_any_trial(settings):
+    with pytest.raises(ValueError):
+        SimulationSpec(topology=full_topology(1, [100]), **settings)
+
+
 def test_fixed_frame_t_zero_rejected():
     topo = full_topology(1, [10])
     with pytest.raises(ValueError):

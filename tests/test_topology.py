@@ -126,6 +126,12 @@ def test_negative_degree_rejected():
         TargetDegreeVector((-0.1,))
 
 
+@pytest.mark.parametrize("g", [float("nan"), float("inf")])
+def test_non_finite_degree_rejected(g):
+    with pytest.raises(TopologyError):
+        TargetDegreeVector((g,))
+
+
 def test_default_tie_classes_by_degree():
     topo = full_topology(3, [10] * 7)
     classes = default_tie_classes(topo)
