@@ -22,7 +22,13 @@ import numpy as np
 
 from . import __version__
 from .bounds import upper_bound_throughput
-from .evolution import evolve, make_engine, peak_search, simultaneous_transmission_degrees
+from .evolution import (
+    evolve,
+    make_engine,
+    peak_search,
+    simultaneous_transmission_degrees,
+    transmission_probabilities,
+)
 from .optimizer import OptimizationSpec, optimize
 from .simulator import RNG_ID, SimulationSpec, monte_carlo
 from .topology import TargetDegreeVector, TopologyError, full_topology, load_topology
@@ -146,7 +152,7 @@ SCHEMA = {
     "mutant_factor": (_float, {O: 0.2}),
     "generations": (_int, {O: 30}),
     "crossover_rate": (_float, {O: 0.9}),
-    "m_values": (_list(_int), {B: (1, 2, 3, 4)}),
+    "m_values": (_where(_list(_int), bool, "a non-empty list"), {B: (1, 2, 3, 4)}),
     "num_users_per_group": (_counts, {B: 10000}),
     "noncoop_degree": (_where(_float, lambda g: g > 0, "> 0"), {B: 3.098}),
     "exact_degrees": (_by_count(_floats), {B: {}}),
@@ -234,7 +240,8 @@ def cmd_analyze(args) -> int:
     mode = args.mode or cfg["mode"]
     if args.trace and mode != "coop":
         raise ConfigError("--trace requires cooperative mode")
-    TargetDegreeVector(degrees).probabilities(topology)  # before any table is built
+    with _spec_checks():  # before any table is built
+        transmission_probabilities(topology, degrees, mode)
     t_vals = cfg["t_values"] if "t_values" in doc else cfg["t_grid"]
     if t_vals is None and args.grid_points < 1:
         raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")

@@ -38,10 +38,36 @@ SINGLE_BS_PEAK = 0.87
 # Computed probabilities outside [0, 1] by more than this indicate a bug.
 PROB_SLACK = 1e-6
 
+# A certifying pool tries to decide its rows every CHECK_EVERY-th iteration.
+# A check costs one kernel evaluation of the rows it covers and the NumPy
+# calls of a few iterations. On DE runs of population 50 (M = 2, 2
+# generations, 4 seeds, 2-vCPU host) checks every 32nd iteration were
+# 6-10 % faster than every 16th and no slower than every 48th or 64th.
+CHECK_EVERY = 32
+# z is a sub-solution of x = F_T(x) if the computed F_T(z) - z is at least
+# SUB_MARGIN + SUB_MARGIN_PER_SLOT * (T - 1) in every column: that exceeds
+# twice the rounding error of a computed F_T. The kernel gives w to a few
+# ulps, so b = 1 - p + p w is within about 8u of its exact value (u = 2^-53,
+# p <= 1), and the power b^(T-1) <= b turns that into an absolute error of
+# at most about 8u (T - 1) + u, below 1e-15 (T - 1) + 1e-16. SUB_MARGIN
+# also covers kernels whose w is off by more than a few ulps.
+SUB_MARGIN = 1e-9
+SUB_MARGIN_PER_SLOT = 2e-15
+# A row is decided if its throughput bound is below (1 - LOSS_SLACK) times
+# its bar. The slack covers the rounding of the two throughputs compared,
+# about T u relative.
+LOSS_SLACK = 1e-9
 
-def _prob_vector(topology: NetworkTopology, degrees) -> np.ndarray:
+
+def transmission_probabilities(topology: NetworkTopology, degrees, mode: str) -> np.ndarray:
+    """p_i = G_i / N_i per group for an analysis in mode; the matrix bound
+    needs G > 0 for every populated group."""
     if not isinstance(degrees, TargetDegreeVector):
         degrees = TargetDegreeVector(tuple(degrees))
+    if mode == "bound" and any(
+        grp.num_users > 0 and gi <= 0 for gi, grp in zip(degrees.g, topology.groups)
+    ):
+        raise ValueError("the matrix bound needs G > 0 for every populated group")
     return np.asarray(degrees.probabilities(topology), dtype=float)
 
 
@@ -68,14 +94,16 @@ class _RowPool:
     R = (1 - p x)^N and rho = (1 - p x)^(N-1). Rows join with add() at
     any iteration, start from x = w = 1 and leave once no entry moves by
     tol, after max_iter iterations of their own, or by remove(). A row's
-    bits do not depend on the other rows in the pool.
+    bits do not depend on the other rows in the pool. A certifying pool
+    also lets decide() remove the rows that provably lose.
     """
 
-    def __init__(self, engine, max_iter, tol, trace=None):
+    def __init__(self, engine, max_iter, tol, trace=None, certify=False):
         self.columns = engine.columns
         self.counts = engine.counts[self.columns]
         self.nm1 = np.maximum(self.counts - 1.0, 0.0)
         self.w_of = engine._w if trace is None else partial(engine._w, trace=trace)
+        self.engine = engine
         self.max_iter, self.tol = max_iter, tol
         n = len(self.columns)
         self.keys = np.empty(0, dtype=np.intp)
@@ -83,6 +111,8 @@ class _RowPool:
         self.tm1 = np.empty((0, 1))  # T - 1 as a float, so the power casts nothing
         self.start = np.empty(0, dtype=np.int64)  # clock when the row joined
         self.clock = self.first = 0  # first <= the start of every row in the pool
+        # With certify, x at the two iterations before each check of decide().
+        self.back = [] if certify else None
 
     def __len__(self):
         return len(self.keys)
@@ -99,19 +129,31 @@ class _RowPool:
         self.x = np.concatenate([self.x, np.ones(p.shape)])
         self.tm1 = np.concatenate([self.tm1, t[:, None] - 1.0])
         self.start = np.concatenate([self.start, np.full(len(t), self.clock)])
+        if self.back:  # joining rows are too young to be checked
+            self.back = [np.concatenate([b, np.ones(p.shape)]) for b in self.back]
+
+    def _map(self, x, p, q, tm1):
+        """(w, F_T(x)) of rows at x."""
+        base = 1.0 - p * x
+        w = self.w_of(x, p, base**self.counts, base**self.nm1)
+        if np.minimum.reduce(w, axis=None) < 0.0 or np.maximum.reduce(w, axis=None) > 1.0:
+            _check_unit("w", w)  # clipping a w in range changes no bit
+            np.clip(w, 0.0, 1.0, out=w)
+        return w, (q + p * w) ** tm1
 
     def step(self):
         """Run one iteration of every row. Returns (keys, x, w, iterations,
         converged) of the rows that leave, or None."""
         if not len(self.keys):  # remove() can empty the pool
             return None
-        p, x = self.p, self.x
-        base = 1.0 - p * x
-        w = self.w_of(x, p, base**self.counts, base**self.nm1)
-        if np.minimum.reduce(w, axis=None) < 0.0 or np.maximum.reduce(w, axis=None) > 1.0:
-            _check_unit("w", w)  # clipping a w in range changes no bit
-            np.clip(w, 0.0, 1.0, out=w)
-        self.x = (self.q + p * w) ** self.tm1
+        x = self.x
+        if self.back is not None:
+            lag = self.clock % CHECK_EVERY
+            if lag == CHECK_EVERY - 2:
+                self.back = [x]
+            elif lag == CHECK_EVERY - 1:
+                self.back.append(x)
+        w, self.x = self._map(x, self.p, self.q, self.tm1)
         self.clock += 1
         delta = self.x - x
         leave = done = np.maximum.reduce(np.abs(delta, out=delta), axis=1) < self.tol
@@ -125,6 +167,48 @@ class _RowPool:
         self._keep(~leave)
         return out
 
+    def decide(self, bar):
+        """Remove the rows that provably report a throughput below bar (one
+        value per row, -inf for none) and return their keys.
+
+        Only after an iteration at which the clock is a multiple of
+        CHECK_EVERY, and only rows that have run CHECK_EVERY iterations,
+        are checked. From a row's last two steps, d' and d, the point
+        z = x + 2 d lam / (1 - lam), with lam the largest ratio d / d',
+        overshoots its geometric limit. The map F_T is monotone, so if
+        F_T(z) >= z, iterating from z rises to a fixed point and z lies
+        below the largest one, which the iterate from x = 1 never falls
+        below. w then never falls below w(z), and the throughput, which
+        falls as w grows, stays below the throughput at w(z), whether the
+        row converges or stops at max_iter.
+        """
+        back, self.back = self.back, []
+        none = np.empty(0, dtype=self.keys.dtype)
+        if self.clock % CHECK_EVERY or len(back) < 2:
+            return none
+        idx = np.flatnonzero((self.clock - self.start >= CHECK_EVERY) & (bar > -np.inf))
+        if not len(idx):
+            return none
+        x, x1 = self.x[idx], back[1][idx]
+        d, d1 = x - x1, x1 - back[0][idx]
+        with np.errstate(over="ignore"):  # a ratio too large for a float is clipped
+            lam = np.divide(d, d1, out=np.zeros_like(d), where=d1 != 0.0).max(axis=1)
+        lam = np.clip(lam, 0.0, 1.0 - 1e-6)[:, None]
+        z = np.clip(x + 2.0 * d * lam / (1.0 - lam), 0.0, 1.0)
+        p, tm1 = self.p[idx], self.tm1[idx, 0]
+        w, fz = self._map(z, p, self.q[idx], tm1[:, None])
+        groups = self.engine.group_offsets
+        bound = self.engine._loss(p[:, groups], tm1 + 1.0, w)[2]
+        idx = idx[((fz - z).min(axis=1) >= SUB_MARGIN + SUB_MARGIN_PER_SLOT * tm1)
+                  & (bound < bar[idx] * (1.0 - LOSS_SLACK))]
+        if not len(idx):
+            return none
+        keys = self.keys[idx]
+        stay = np.ones(len(self.keys), dtype=bool)
+        stay[idx] = False
+        self._keep(stay)
+        return keys
+
     def remove(self, keys):
         """Drop the rows with these keys."""
         self._keep(~np.isin(self.keys, keys))
@@ -133,6 +217,8 @@ class _RowPool:
         self.keys, self.p, self.q, self.x, self.tm1, self.start = (
             a[stay] for a in (self.keys, self.p, self.q, self.x, self.tm1, self.start)
         )
+        if self.back:
+            self.back = [b[stay] for b in self.back]
 
 
 @dataclass
@@ -205,16 +291,21 @@ class _EngineBase:
                 x[keys], w[keys], iters[keys], conv[keys] = left[1:]
         return self._finish(p, t, w, x, iters, conv, trace)
 
-    def _finish(self, p, t, w, x, iters, conv, trace=None):
-        # Per group, w is the product of its chains' collision probabilities
-        # (the identity for one chain per group).
+    def _loss(self, p, t, w):
+        """(w, PLR, throughput) per row from group probabilities p, frame
+        lengths t and the chains' w; per group, w is the product of its
+        chains' collision probabilities (the identity for one chain per
+        group)."""
         w = np.multiply.reduceat(w, self.group_offsets, axis=1)
-        x = np.minimum.reduceat(x, self.group_offsets, axis=1)
         pe = (1.0 - p + p * w) ** t[:, None]
         # Elementwise sums, not BLAS products, so that a row's rounding does
         # not depend on its place in the batch.
+        return w, pe, ((1.0 - pe) * self.counts).sum(axis=1) / t
+
+    def _finish(self, p, t, w, x, iters, conv, trace=None):
+        w, pe, throughput = self._loss(p, t, w)
+        x = np.minimum.reduceat(x, self.group_offsets, axis=1)
         plr_avg = (pe * (self.counts / self.total_users)).sum(axis=1)
-        throughput = ((1.0 - pe) * self.counts).sum(axis=1) / t
         trace_r0, trace_r1 = map(np.array, zip(*trace)) if trace else (None, None)
         return BatchEvolution(
             t=t,
@@ -328,17 +419,12 @@ def evolve(
     "bound" (PLR upper bound, throughput lower bound). trace=True records
     the cooperative per-iteration decomposition into collision-free and
     rescue retrievals."""
-    if not isinstance(degrees, TargetDegreeVector):
-        degrees = TargetDegreeVector(tuple(degrees))
-    if mode == "bound" and any(
-        grp.num_users > 0 and gi <= 0 for gi, grp in zip(degrees.g, topology.groups)
-    ):
-        raise ValueError("the matrix bound needs G > 0 for every populated group")
+    p = transmission_probabilities(topology, degrees, mode)
     if trace and mode != "coop":
         raise ValueError("trace recording needs the cooperative mode")
     engine = engine or make_engine(topology, mode, **engine_kw)
     out = engine.evaluate(
-        _prob_vector(topology, degrees),
+        p,
         [t_slots],
         max_iter=max_iter,
         tol=tol,
@@ -543,6 +629,69 @@ def batched_peak_search(
     return seen
 
 
+def batched_peaks(
+    engine,
+    p_mat: np.ndarray,
+    *,
+    t_grid=None,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+) -> list[tuple[int, tuple]]:
+    """The peak of each candidate's search, as (t*, (throughput, plr_avg,
+    plr_groups, converged)): the frame length `peak_t` picks from the
+    result of `batched_peak_search` and that result's row, bit for bit.
+
+    Each candidate runs the steps of `batched_peak_search` one after
+    another (`_next_request`), all candidates in one certifying pool. Its
+    bar is the throughput of its best finished row. A row that
+    `_RowPool.decide` proves to end below the bar leaves without a result:
+    the best row only gains, so the decided row is never the best row that
+    picks a next request, and every other row runs the iterations it runs
+    in `batched_peak_search`. Decided rows have no results, so only the
+    peaks are returned; they do not depend on how candidates are batched
+    together.
+    """
+    p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
+    if t_grid is None or len(t_grid) == 0:
+        raise ValueError("empty t_grid: the peak search needs a frame length")
+    n = len(p_mat)
+    pool = _RowPool(engine, max_iter, tol, certify=True)
+    first = sorted(set(np.asarray(t_grid, dtype=np.int64).tolist()))
+    asked = [set(first) for _ in p_mat]  # every T requested so far
+    phase = [("edge", 0)] * n  # of each candidate's next step
+    pending = [len(first)] * n  # rows of its current step still in the pool
+    best = [None] * n  # (throughput, -T, row) of its best finished row
+    bar = np.full(n, -np.inf)  # that throughput
+    joins = [t * n + c for c in range(n) for t in first]  # keys T * n + c
+    while joins or len(pool):
+        if joins:
+            keys = np.array(joins)
+            pool.add(keys, p_mat[keys % n], keys // n)
+            joins = []
+        resolved = []
+        left = pool.step()
+        if left is not None:
+            gone, x, w, iters, conv = left
+            ts, cands = np.divmod(gone, n)
+            out = engine._finish(p_mat[cands], ts, w, x, iters, conv)
+            rows = zip(out.throughput.tolist(), out.plr_avg.tolist(), out.plr_groups,
+                       out.converged.tolist())
+            for c, t, r in zip(cands.tolist(), ts.tolist(), rows):
+                if best[c] is None or (r[0], -t) > best[c][:2]:
+                    best[c], bar[c] = (r[0], -t, r), r[0]
+                resolved.append(c)
+        if pool.clock % CHECK_EVERY == 0:
+            resolved += (pool.decide(bar[pool.keys % n]) % n).tolist()
+        for c in resolved:
+            pending[c] -= 1
+            if pending[c] == 0 and (step := _next_request(phase[c], asked[c], -best[c][1])):
+                ts, phase[c] = step
+                asked[c].update(ts)
+                pending[c] = len(ts)
+                joins.extend(t * n + c for t in ts)
+    return [(-b[1], b[2]) for b in best]
+
+
 def peak_search(
     topology: NetworkTopology,
     degrees,
@@ -560,8 +709,8 @@ def peak_search(
     The coarse grid is extended if the maximum lands on its edge, then
     successively narrowed (roughly quartering the spacing) until unit step.
     """
+    p = transmission_probabilities(topology, degrees, mode)
     engine = engine or make_engine(topology, mode, **engine_kw)
-    p = _prob_vector(topology, degrees)
     if t_grid is None:
         t_grid = default_t_grid(topology, points)
     seen = batched_peak_search(

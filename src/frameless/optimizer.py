@@ -7,10 +7,11 @@ reflection at the bounds; infeasible candidates are ranked below every
 feasible one by the negated constraint shortfall (death penalty).
 
 Fitness is the dominant cost, so the peak searches of a whole population
-stream through one fixed-point pool (`batched_peak_search`), results are
-cached on a 1e-4 quantization of the degree vector, and the walk-graph
-tables are shared across all evaluations. The worker count only reaches
-the table builds, so results do not depend on it.
+run through one fixed-point pool (`batched_peaks`), which drops the rows
+certified to lose to their candidate's best without iterating them to
+the end; results are cached on a 1e-4 quantization of the degree vector,
+and the walk-graph tables are shared across all evaluations. The worker
+count only reaches the table builds, so results do not depend on it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import batched_peak_search, default_t_grid, make_engine, peak_t
+from .evolution import batched_peaks, default_t_grid, make_engine
 from .topology import NetworkTopology, TargetDegreeVector, default_tie_classes
 
 QUANT = 1e-4
@@ -143,9 +144,8 @@ def _quantize(g: np.ndarray) -> tuple[int, ...]:
     return tuple(int(round(v / QUANT)) for v in g)
 
 
-def _result_from_peak(spec: OptimizationSpec, peak: dict[int, tuple]) -> FitnessResult:
-    t_star = peak_t(peak)
-    throughput, plr_avg, _, converged = peak[t_star]
+def _result_from_peak(spec: OptimizationSpec, t_star: int, row: tuple) -> FitnessResult:
+    throughput, plr_avg, _, converged = row
     success = 1.0 - plr_avg
     return FitnessResult(
         throughput=throughput,
@@ -181,9 +181,9 @@ class _FitnessEvaluator:
                 p = deg(tuple(g)).probabilities(self.spec.topology)
                 new_rows.append(p)
         if new_rows:
-            peaks = batched_peak_search(self.engine, np.array(new_rows), t_grid=self.grid)
+            peaks = batched_peaks(self.engine, np.array(new_rows), t_grid=self.grid)
             for key, peak in zip(new_keys, peaks):
-                self.cache[key] = _result_from_peak(self.spec, peak)
+                self.cache[key] = _result_from_peak(self.spec, *peak)
         return [self.cache[key] for key in keys]
 
 

@@ -11,7 +11,7 @@ from frameless.bounds import (
     solve_gauss_batched,
     upper_bound_throughput,
 )
-from frameless.evolution import evolve
+from frameless.evolution import evolve, peak_search
 from frameless.topology import GroupSpec, NetworkTopology, full_topology
 from conftest import edge_topologies, random_topology
 
@@ -111,6 +111,8 @@ def test_zero_degree_rejected_by_bound_wrapper():
     topo = full_topology(2, [10, 10, 10])
     with pytest.raises(ValueError, match="G > 0"):
         evolve(topo, (0.0, 1.0, 1.0), 10, "bound")
+    with pytest.raises(ValueError, match="G > 0"):
+        peak_search(topo, (0.0, 1.0, 1.0), "bound")
 
 
 def test_zero_degree_on_empty_group_allowed():

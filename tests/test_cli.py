@@ -129,6 +129,7 @@ NAMED_ERRORS = [
     ("analyze", {"t_grid": {"start": 1000, "stop": 3000, "nun": 5}}, "nun"),
     ("bounds", {"m_values": [1], "num_users_per_group": 0}, "num_users_per_group"),
     ("bounds", {"m_values": [1], "noncoop_degree": 0}, "noncoop_degree"),
+    ("bounds", {"m_values": []}, "m_values"),
 ]
 NAMED_ERROR_IDS = [
     "simulate-trials-not-an-integer", "simulate-trials-true",
@@ -139,6 +140,7 @@ NAMED_ERROR_IDS = [
     "simulate-misspelled-trials", "optimize-misspelled-population",
     "bounds-misspelled-m-values", "compare-misspelled-gbar-values",
     "analyze-misspelled-t-grid-num", "bounds-users-0", "bounds-noncoop-degree-0",
+    "bounds-m-values-empty",
 ]
 
 
@@ -188,6 +190,8 @@ def test_config_error_names_the_key(tmp_path, capsys, command, extra, key):
         ("simulate", {"t": 2300, "replica_dist": {"0": 1.0}}),
         ("compare", {"replica_dist": {}}),
         ("compare", {"replica_dist": {"2": 1.5, "3": -0.5}}),
+        ("analyze --mode bound", {"degrees": [0.0]}),
+        ("analyze", {"mode": "bound", "degrees": [0.0]}),
         *[(command, extra) for command, extra, _ in NAMED_ERRORS],
     ],
     ids=[
@@ -206,7 +210,8 @@ def test_config_error_names_the_key(tmp_path, capsys, command, extra, key):
         "optimize-bounds-not-numbers", "simulate-replica-count-not-a-number",
         "simulate-replica-probability-not-a-number", "simulate-replica-not-a-mass",
         "simulate-replica-count-0", "compare-replica-empty",
-        "compare-replica-negative-probability",
+        "compare-replica-negative-probability", "analyze-bound-flag-degree-0",
+        "analyze-bound-degree-0",
         *NAMED_ERROR_IDS,
     ],
 )

@@ -1,4 +1,6 @@
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +9,15 @@ from hypothesis import strategies as st
 
 import oracles
 from frameless.evolution import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    SUB_MARGIN,
     CoopEngine,
     NoncoopEngine,
     PlrCurve,
     _RowPool,
     batched_peak_search,
+    batched_peaks,
     default_t_grid,
     evolve,
     make_engine,
@@ -25,6 +30,7 @@ from frameless.topology import (
     NetworkTopology,
     TargetDegreeVector,
     full_topology,
+    load_topology,
 )
 from frameless.walkgraph import load_or_build_tables
 from conftest import edge_topologies, random_topology
@@ -447,6 +453,79 @@ def test_streamed_search_matches_lockstep_oracle(mode):
             extended |= {"down"} if min(seen) < min(grid) else set()
             unconverged |= not all(v[3] for v in seen.values())
     assert extended == {"up", "down"} and unconverged
+
+
+def table1_topologies(ms):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    docs = [json.loads((configs / f"table1_m{m}.json").read_text()) for m in ms]
+    return [load_topology(json.dumps(doc["topology"])) for doc in docs]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_map_is_monotone(mode):
+    # The premise of _RowPool.decide: x <= y gives w(x) <= w(y) and
+    # F_T(x) <= F_T(y) in every column. A computed map may break it only by
+    # rounding, far below the margin a sub-solution must clear. (The M = 4
+    # coop tables take seconds to build, so coop stops at M = 3.)
+    rng = np.random.default_rng(17)
+    topologies = table1_topologies((1, 2, 3) if mode == "coop" else (1, 2, 3, 4))
+    topologies += [random_topology(rng) for _ in range(12)]
+    slack = SUB_MARGIN * 1e-3
+    for topo in topologies:
+        engine = make_engine(topo, mode)
+        pool = _RowPool(engine, DEFAULT_MAX_ITER, DEFAULT_TOL)
+        counts = engine.counts
+        t_max = 2 * int(default_t_grid(topo).max())
+        for _ in range(40):
+            g = rng.uniform(0.05, 4.0, (64, len(counts)))
+            p = (np.minimum(g / np.maximum(counts, 1.0), 1.0) * (counts > 0))[:, engine.columns]
+            tm1 = rng.integers(0, t_max, (64, 1)).astype(float)
+            x = rng.random(p.shape)
+            y = x + (1.0 - x) * rng.random(p.shape) * (rng.random(p.shape) < 0.5)
+            (wx, fx), (wy, fy) = pool._map(x, p, 1.0 - p, tm1), pool._map(y, p, 1.0 - p, tm1)
+            assert (wx <= wy + slack).all() and (fx <= fy + slack).all()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_decided_search_matches_reference(mode, monkeypatch):
+    joined, decided = [], []  # keys (T * candidates + candidate) of the rows
+    pool_add, pool_decide = _RowPool.add, _RowPool.decide
+
+    def add(pool, keys, p, t):
+        joined.extend(keys.tolist())
+        pool_add(pool, keys, p, t)
+
+    def decide(pool, bar):
+        keys = pool_decide(pool, bar)
+        decided.extend(keys.tolist())
+        return keys
+
+    monkeypatch.setattr(_RowPool, "add", add)
+    monkeypatch.setattr(_RowPool, "decide", decide)
+    n_decided = 0
+    for topo, degrees, grid, max_iter in search_cases():
+        engine = make_engine(topo, mode)
+        p_mat = np.array([TargetDegreeVector(tuple(g)).probabilities(topo) for g in degrees])
+        n = len(p_mat)
+        reference = batched_peak_search(engine, p_mat, t_grid=grid, max_iter=max_iter)
+        joined.clear()
+        decided.clear()
+        peaks = batched_peaks(engine, p_mat, t_grid=grid, max_iter=max_iter)
+        assert_same_seen([{t: row} for t, row in peaks],
+                         [{peak_t(seen): seen[peak_t(seen)]} for seen in reference])
+        # The same rows are requested, and each decided row loses to its
+        # candidate's peak when it runs to the end.
+        for c, seen in enumerate(reference):
+            assert sorted(k // n for k in joined if k % n == c) == sorted(seen)
+        ts, cands = np.divmod(np.array(decided, dtype=np.int64), n)
+        if len(ts):
+            out = engine.evaluate(p_mat[cands], ts, max_iter=max_iter)
+            assert (out.throughput < [peaks[c][1][0] for c in cands]).all()
+        n_decided += len(ts)
+        for c in range(n):
+            alone = batched_peaks(engine, p_mat[c : c + 1], t_grid=grid, max_iter=max_iter)
+            assert_same_seen([dict(alone)], [dict(peaks[c : c + 1])])
+    assert n_decided > 0
 
 
 def assert_pool_rows_match_rows_alone(topo, mode, joins, drops):

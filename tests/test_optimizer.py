@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frameless.evolution import peak_t
 from frameless.optimizer import (
     FitnessResult,
     OptimizationSpec,
@@ -130,8 +131,12 @@ def test_optimize_matches_lockstep_oracle(small_spec, monkeypatch):
     import oracles
     from frameless import optimizer
 
+    def lockstep_peaks(engine, p_mat, **kw):
+        seen = oracles.batched_peak_search(engine, p_mat, **kw)
+        return [(peak_t(s), s[peak_t(s)]) for s in seen]
+
     streamed = optimize(small_spec, seed=4)
-    monkeypatch.setattr(optimizer, "batched_peak_search", oracles.batched_peak_search)
+    monkeypatch.setattr(optimizer, "batched_peaks", lockstep_peaks)
     lockstep = optimize(small_spec, seed=4)
     assert streamed.best_g == lockstep.best_g
     assert streamed.history == lockstep.history
@@ -178,8 +183,8 @@ def test_converged_flag_carried(small_spec, monkeypatch):
 
     g = (1.7, 1.7, 1.5)
     assert fitness(small_spec, g).converged
-    short = partial(optimizer.batched_peak_search, max_iter=3)
-    monkeypatch.setattr(optimizer, "batched_peak_search", short)
+    short = partial(optimizer.batched_peaks, max_iter=3)
+    monkeypatch.setattr(optimizer, "batched_peaks", short)
     assert not fitness(small_spec, g).converged
     res = optimize(replace(small_spec, population=4, generations=1), seed=0)
     assert res.summary()["converged"] is False
