@@ -476,6 +476,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, least in (("seed", 0), ("workers", 1)):
+            if getattr(args, flag) < least:
+                raise ConfigError(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
         return args.func(args)
     except (ConfigError, TopologyError) as e:
         print(f"config error: {e}", file=sys.stderr)

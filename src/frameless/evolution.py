@@ -17,6 +17,14 @@ singleton and rescue tables. Each kernel covers all targets at once
 (padded gathers, one levelized DAG), and all engines evaluate batches of
 (transmission-probability vector, T) rows at once, which is what makes
 the optimizer affordable.
+
+Every peak search over T runs through one driver, `_search`: all
+candidates share one pool, each runs its steps one after another, and a
+row that provably ends below its candidate's best finished row does not
+hold up its step. `batched_peak_search` (`analyze`, `bounds`) keeps such
+rows in the pool until they leave, so every requested T gets its result;
+`batched_peaks` (the optimizer) drops them at once and returns only the
+peaks.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ SINGLE_BS_PEAK = 0.87
 # Computed probabilities outside [0, 1] by more than this indicate a bug.
 PROB_SLACK = 1e-6
 
-# A certifying pool tries to decide its rows every CHECK_EVERY-th iteration.
+# A peak search tries to decide its rows every CHECK_EVERY-th pool iteration.
 # A check costs one kernel evaluation of the rows it covers and the NumPy
 # calls of a few iterations. On DE runs of population 50 (M = 2, 2
 # generations, 4 seeds, 2-vCPU host) checks every 32nd iteration were
@@ -60,10 +68,12 @@ LOSS_SLACK = 1e-9
 
 
 def transmission_probabilities(topology: NetworkTopology, degrees, mode: str) -> np.ndarray:
-    """p_i = G_i / N_i per group for an analysis in mode; the matrix bound
-    needs G > 0 for every populated group."""
+    """p_i = G_i / N_i per group for an analysis in mode; the topology needs
+    users, and the matrix bound needs G > 0 for every populated group."""
     if not isinstance(degrees, TargetDegreeVector):
         degrees = TargetDegreeVector(tuple(degrees))
+    if topology.num_users <= 0:
+        raise ValueError("topology has no users")
     if mode == "bound" and any(
         grp.num_users > 0 and gi <= 0 for gi, grp in zip(degrees.g, topology.groups)
     ):
@@ -94,11 +104,11 @@ class _RowPool:
     R = (1 - p x)^N and rho = (1 - p x)^(N-1). Rows join with add() at
     any iteration, start from x = w = 1 and leave once no entry moves by
     tol, after max_iter iterations of their own, or by remove(). A row's
-    bits do not depend on the other rows in the pool. A certifying pool
-    also lets decide() remove the rows that provably lose.
+    bits do not depend on the other rows in the pool. decide() names the
+    rows that provably lose.
     """
 
-    def __init__(self, engine, max_iter, tol, trace=None, certify=False):
+    def __init__(self, engine, max_iter, tol, trace=None):
         self.columns = engine.columns
         self.counts = engine.counts[self.columns]
         self.nm1 = np.maximum(self.counts - 1.0, 0.0)
@@ -111,8 +121,8 @@ class _RowPool:
         self.tm1 = np.empty((0, 1))  # T - 1 as a float, so the power casts nothing
         self.start = np.empty(0, dtype=np.int64)  # clock when the row joined
         self.clock = self.first = 0  # first <= the start of every row in the pool
-        # With certify, x at the two iterations before each check of decide().
-        self.back = [] if certify else None
+        # x at the two iterations before each check of decide().
+        self.back = []
 
     def __len__(self):
         return len(self.keys)
@@ -147,12 +157,13 @@ class _RowPool:
         if not len(self.keys):  # remove() can empty the pool
             return None
         x = self.x
-        if self.back is not None:
-            lag = self.clock % CHECK_EVERY
-            if lag == CHECK_EVERY - 2:
-                self.back = [x]
-            elif lag == CHECK_EVERY - 1:
-                self.back.append(x)
+        lag = self.clock % CHECK_EVERY
+        if lag == CHECK_EVERY - 2:
+            self.back = [x]
+        elif lag == CHECK_EVERY - 1:
+            self.back.append(x)
+        elif lag == 0:  # the check after the last iteration has passed
+            self.back = []
         w, self.x = self._map(x, self.p, self.q, self.tm1)
         self.clock += 1
         delta = self.x - x
@@ -168,8 +179,8 @@ class _RowPool:
         return out
 
     def decide(self, bar):
-        """Remove the rows that provably report a throughput below bar (one
-        value per row, -inf for none) and return their keys.
+        """The keys of the rows that provably report a throughput below bar
+        (one value per row, -inf for none); the rows stay in the pool.
 
         Only after an iteration at which the clock is a multiple of
         CHECK_EVERY, and only rows that have run CHECK_EVERY iterations,
@@ -182,15 +193,13 @@ class _RowPool:
         falls as w grows, stays below the throughput at w(z), whether the
         row converges or stops at max_iter.
         """
-        back, self.back = self.back, []
-        none = np.empty(0, dtype=self.keys.dtype)
-        if self.clock % CHECK_EVERY or len(back) < 2:
-            return none
+        if self.clock % CHECK_EVERY or len(self.back) < 2:
+            return self.keys[:0]
         idx = np.flatnonzero((self.clock - self.start >= CHECK_EVERY) & (bar > -np.inf))
         if not len(idx):
-            return none
-        x, x1 = self.x[idx], back[1][idx]
-        d, d1 = x - x1, x1 - back[0][idx]
+            return self.keys[idx]
+        x, x1 = self.x[idx], self.back[1][idx]
+        d, d1 = x - x1, x1 - self.back[0][idx]
         with np.errstate(over="ignore"):  # a ratio too large for a float is clipped
             lam = np.divide(d, d1, out=np.zeros_like(d), where=d1 != 0.0).max(axis=1)
         lam = np.clip(lam, 0.0, 1.0 - 1e-6)[:, None]
@@ -199,15 +208,8 @@ class _RowPool:
         w, fz = self._map(z, p, self.q[idx], tm1[:, None])
         groups = self.engine.group_offsets
         bound = self.engine._loss(p[:, groups], tm1 + 1.0, w)[2]
-        idx = idx[((fz - z).min(axis=1) >= SUB_MARGIN + SUB_MARGIN_PER_SLOT * tm1)
-                  & (bound < bar[idx] * (1.0 - LOSS_SLACK))]
-        if not len(idx):
-            return none
-        keys = self.keys[idx]
-        stay = np.ones(len(self.keys), dtype=bool)
-        stay[idx] = False
-        self._keep(stay)
-        return keys
+        return self.keys[idx[((fz - z).min(axis=1) >= SUB_MARGIN + SUB_MARGIN_PER_SLOT * tm1)
+                             & (bound < bar[idx] * (1.0 - LOSS_SLACK))]]
 
     def remove(self, keys):
         """Drop the rows with these keys."""
@@ -535,133 +537,37 @@ def _next_request(phase, ts, t_best):
     return None
 
 
-def batched_peak_search(
-    engine,
-    p_mat: np.ndarray,
-    *,
-    t_grid=None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> list[dict[int, tuple]]:
-    """Peak search for many probability vectors at once.
+def _search(engine, p_mat, t_grid, max_iter, tol, keep):
+    """The peak searches of many probability vectors, all in one pool.
 
     Each candidate evaluates a shared coarse grid, extends it when its
     maximum sits on an edge, and refines windows around the maximum down
-    to unit step. All candidates stream their rows through one fixed-point
-    pool. A candidate holds its committed step and, once any of its rows
-    has finished, a provisional next step: the request it would make if
-    every unfinished row of the committed step lost. A finished row that
-    beats the best re-plans the provisional step, so when the committed
-    step's last row leaves, the provisional step is the true next request
-    and becomes the committed one, with the rows and results it already
-    has. Provisional rows that a re-plan turns away leave the pool and
-    never enter the results. Returns, per candidate, {T: (throughput,
-    plr_avg, plr_groups, converged)}, each step's T in sorted order. A
-    row's bits do not depend on the other rows in the pool, so results
-    are independent of how candidates are batched together.
+    to unit step, one step after another (`_next_request`). Its bar is
+    the throughput of its best finished row. A row that `_RowPool.decide`
+    proves to end below the bar no longer holds up its step: the best row
+    only gains, so a decided row is never the best row that picks a next
+    request, and every step asks for the rows that waiting for each row
+    would ask for. With keep, decided rows stay in the pool until they
+    leave, and every row's result is kept; without, they leave at once.
+    Returns, per candidate, (throughput, -t*, peak row) of its best row,
+    and with keep {T: (throughput, plr_avg, plr_groups, converged)}, each
+    step's T in sorted order (else None). A row's bits do not depend on
+    the other rows in the pool, so results are independent of how
+    candidates are batched together.
     """
     p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
     if t_grid is None or len(t_grid) == 0:
         raise ValueError("empty t_grid: the peak search needs a frame length")
     n = len(p_mat)
     pool = _RowPool(engine, max_iter, tol)
-    seen: list[dict[int, tuple]] = [{} for _ in p_mat]
-    # Committed and provisional steps: T -> result, None while in the pool.
-    cur: list[dict[int, tuple]] = [{} for _ in p_mat]
-    nxt: list[dict[int, tuple]] = [{} for _ in p_mat]
-    # Phase of the step after the committed one, and after the provisional.
-    phase, nxt_phase = [None] * n, [None] * n
-    best = [None] * n  # (throughput, -T) of the best finished committed row
-    first = sorted(set(np.asarray(t_grid, dtype=np.int64).tolist()))
-    asked = [set(first) for _ in p_mat]  # the T of seen and cur
-    # Keys (T * n + c) of rows that join and leave before the next iteration.
-    joins, drops = [], []
-
-    def plan(c):
-        old = nxt[c]
-        step = _next_request(phase[c], asked[c], -best[c][1])
-        ts, nxt_phase[c] = step or ((), None)
-        nxt[c] = {t: old.get(t) for t in ts}
-        drops.extend(t * n + c for t, r in old.items() if r is None and t not in nxt[c])
-        joins.extend(t * n + c for t in ts if t not in old)
-
-    for c in range(n):
-        cur[c], phase[c] = dict.fromkeys(first), ("edge", 0)
-        joins.extend(t * n + c for t in first)
-    while joins or len(pool):
-        if drops:  # before joins: a dropped T can rejoin as a new row
-            pool.remove(drops)
-            drops.clear()
-        if joins:
-            keys = np.array(joins)
-            pool.add(keys, p_mat[keys % n], keys // n)
-            joins.clear()
-        left = pool.step()
-        if left is None:
-            continue
-        gone, x, w, iters, conv = left
-        ts, cands = np.divmod(gone, n)
-        out = engine._finish(p_mat[cands], ts, w, x, iters, conv)
-        moved = {}  # candidate -> whether its best changed
-        rows = zip(out.throughput.tolist(), out.plr_avg.tolist(), out.plr_groups,
-                   out.converged.tolist())
-        for c, t, r in zip(cands.tolist(), ts.tolist(), rows):
-            if t in nxt[c]:
-                nxt[c][t] = r
-                continue
-            cur[c][t] = r
-            gain = best[c] is None or (r[0], -t) > best[c]
-            if gain:
-                best[c] = (r[0], -t)
-            moved[c] = moved.get(c, False) or gain
-        for c, gain in moved.items():
-            if gain:
-                plan(c)
-            while cur[c] and None not in cur[c].values():  # commit
-                seen[c].update(cur[c])
-                cur[c], phase[c], nxt[c] = nxt[c], nxt_phase[c], {}
-                asked[c].update(cur[c])
-                for t, r in cur[c].items():
-                    if r is not None:
-                        best[c] = max(best[c], (r[0], -t))
-                if cur[c]:
-                    plan(c)
-    return seen
-
-
-def batched_peaks(
-    engine,
-    p_mat: np.ndarray,
-    *,
-    t_grid=None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> list[tuple[int, tuple]]:
-    """The peak of each candidate's search, as (t*, (throughput, plr_avg,
-    plr_groups, converged)): the frame length `peak_t` picks from the
-    result of `batched_peak_search` and that result's row, bit for bit.
-
-    Each candidate runs the steps of `batched_peak_search` one after
-    another (`_next_request`), all candidates in one certifying pool. Its
-    bar is the throughput of its best finished row. A row that
-    `_RowPool.decide` proves to end below the bar leaves without a result:
-    the best row only gains, so the decided row is never the best row that
-    picks a next request, and every other row runs the iterations it runs
-    in `batched_peak_search`. Decided rows have no results, so only the
-    peaks are returned; they do not depend on how candidates are batched
-    together.
-    """
-    p_mat = np.atleast_2d(np.asarray(p_mat, dtype=float))
-    if t_grid is None or len(t_grid) == 0:
-        raise ValueError("empty t_grid: the peak search needs a frame length")
-    n = len(p_mat)
-    pool = _RowPool(engine, max_iter, tol, certify=True)
     first = sorted(set(np.asarray(t_grid, dtype=np.int64).tolist()))
     asked = [set(first) for _ in p_mat]  # every T requested so far
     phase = [("edge", 0)] * n  # of each candidate's next step
-    pending = [len(first)] * n  # rows of its current step still in the pool
+    pending = [len(first)] * n  # rows of its current step neither finished nor decided
     best = [None] * n  # (throughput, -T, row) of its best finished row
     bar = np.full(n, -np.inf)  # that throughput
+    seen = [dict.fromkeys(first) for _ in p_mat] if keep else None
+    decided = set()  # keys of decided rows still in the pool
     joins = [t * n + c for c in range(n) for t in first]  # keys T * n + c
     while joins or len(pool):
         if joins:
@@ -676,19 +582,64 @@ def batched_peaks(
             out = engine._finish(p_mat[cands], ts, w, x, iters, conv)
             rows = zip(out.throughput.tolist(), out.plr_avg.tolist(), out.plr_groups,
                        out.converged.tolist())
-            for c, t, r in zip(cands.tolist(), ts.tolist(), rows):
+            for key, c, t, r in zip(gone.tolist(), cands.tolist(), ts.tolist(), rows):
+                if keep:
+                    seen[c][t] = r
+                if key in decided:
+                    decided.remove(key)
+                    continue
                 if best[c] is None or (r[0], -t) > best[c][:2]:
                     best[c], bar[c] = (r[0], -t, r), r[0]
                 resolved.append(c)
         if pool.clock % CHECK_EVERY == 0:
-            resolved += (pool.decide(bar[pool.keys % n]) % n).tolist()
+            rows_bar = bar[pool.keys % n]
+            if decided:  # each row is decided once
+                rows_bar[np.isin(pool.keys, list(decided))] = -np.inf
+            keys = pool.decide(rows_bar)
+            if keep:
+                decided.update(keys.tolist())
+            elif len(keys):
+                pool.remove(keys)
+            resolved += (keys % n).tolist()
         for c in resolved:
             pending[c] -= 1
             if pending[c] == 0 and (step := _next_request(phase[c], asked[c], -best[c][1])):
                 ts, phase[c] = step
                 asked[c].update(ts)
+                if keep:
+                    seen[c].update(dict.fromkeys(ts))
                 pending[c] = len(ts)
                 joins.extend(t * n + c for t in ts)
+    return best, seen
+
+
+def batched_peak_search(
+    engine,
+    p_mat: np.ndarray,
+    *,
+    t_grid=None,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+) -> list[dict[int, tuple]]:
+    """Peak search for many probability vectors at once (`_search`), every
+    requested row run to the end. Returns, per candidate, {T: (throughput,
+    plr_avg, plr_groups, converged)}, each step's T in sorted order."""
+    return _search(engine, p_mat, t_grid, max_iter, tol, keep=True)[1]
+
+
+def batched_peaks(
+    engine,
+    p_mat: np.ndarray,
+    *,
+    t_grid=None,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+) -> list[tuple[int, tuple]]:
+    """The peak of each candidate's search, as (t*, (throughput, plr_avg,
+    plr_groups, converged)): the frame length `peak_t` picks from the
+    result of `batched_peak_search` and that result's row, bit for bit.
+    Decided rows leave the pool without a result."""
+    best, _ = _search(engine, p_mat, t_grid, max_iter, tol, keep=False)
     return [(-b[1], b[2]) for b in best]
 
 

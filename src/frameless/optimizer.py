@@ -56,7 +56,8 @@ class OptimizationSpec:
         # Storn & Price's range of the differential weight; NaN fails too.
         if not 0.0 < self.mutant_factor <= 2.0:
             raise ValueError(f"mutant_factor must be in (0, 2], got {self.mutant_factor}")
-        self.classes()  # raises on overlapping or incomplete tie classes
+        if not self.classes():  # raises on overlapping or incomplete tie classes
+            raise ValueError("no populated groups to optimize")
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Tie classes over populated groups (empty groups keep G = 0)."""
@@ -210,8 +211,6 @@ def optimize(
     spec = spec.scaled(fast)
     classes = spec.classes()
     dim = len(classes)
-    if dim == 0:
-        raise ValueError("no populated groups to optimize")
     lo, hi = spec.bounds
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     evaluator = _FitnessEvaluator(spec, workers=workers)

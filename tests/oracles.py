@@ -34,10 +34,11 @@ ones to R on each call and takes the leave-one-out products from two
 running products, and the bound kernel always computes both branches of
 its singular-system fallback.
 
-Lockstep peak search, the reference for the streamed
-`frameless.evolution.batched_peak_search`: all candidates advance through
-the same rounds, each round one `evaluate` call over every candidate's
-pending frame lengths.
+Lockstep peak search, the reference for the peak-search driver of
+`frameless.evolution` (`batched_peak_search` and `batched_peaks`): all
+candidates advance through the same rounds, each round one `evaluate`
+call over every candidate's pending frame lengths, and no round starts
+before every row of the last one has run to the end.
 
 Slot-by-slot simulator, the reference for the vectorized peeler of
 `frameless.simulator`: every un-retrieved user transmits per slot with its

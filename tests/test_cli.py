@@ -106,6 +106,9 @@ def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+# A topology whose only group is empty.
+NO_USERS = {"num_bs": 1, "groups": [{"bs_set": [1], "num_users": 0}]}
+
 # Inputs the config schema or a library spec rejects, each with the key its
 # error names: non-integral or non-finite numbers, out-of-range DE settings,
 # exact degrees for an M the run does not list, one misspelled key per
@@ -192,6 +195,10 @@ def test_config_error_names_the_key(tmp_path, capsys, command, extra, key):
         ("compare", {"replica_dist": {"2": 1.5, "3": -0.5}}),
         ("analyze --mode bound", {"degrees": [0.0]}),
         ("analyze", {"mode": "bound", "degrees": [0.0]}),
+        ("analyze", {"topology": NO_USERS}),
+        ("analyze --mode noncoop", {"topology": NO_USERS}),
+        ("analyze --mode bound", {"topology": NO_USERS}),
+        ("optimize", {"topology": NO_USERS}),
         *[(command, extra) for command, extra, _ in NAMED_ERRORS],
     ],
     ids=[
@@ -211,7 +218,8 @@ def test_config_error_names_the_key(tmp_path, capsys, command, extra, key):
         "simulate-replica-probability-not-a-number", "simulate-replica-not-a-mass",
         "simulate-replica-count-0", "compare-replica-empty",
         "compare-replica-negative-probability", "analyze-bound-flag-degree-0",
-        "analyze-bound-degree-0",
+        "analyze-bound-degree-0", "analyze-no-users", "analyze-noncoop-no-users",
+        "analyze-bound-no-users", "optimize-no-users",
         *NAMED_ERROR_IDS,
     ],
 )
@@ -221,14 +229,33 @@ def test_config_value_the_library_rejects_is_a_config_error(
     def no_work(*args, **kwargs):
         raise AssertionError("a search or frame ran before the config was checked")
 
-    # A bad value must stop a command before its first search or frame.
-    for name in ("optimize", "peak_search", "monte_carlo"):
+    # A bad value must stop a command before its first table, search or frame.
+    for name in ("make_engine", "optimize", "peak_search", "monte_carlo"):
         monkeypatch.setattr(cli, name, no_work)
     cfg = small_m1_config(tmp_path, **extra)
     out = tmp_path / "out"
     assert run([*command.split(), "--config", cfg, "--out", out]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "config error:" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "optimize", "bounds", "compare"])
+@pytest.mark.parametrize("flag, value", [("--seed", -1), ("--workers", 0), ("--workers", -1)])
+def test_negative_seed_or_worker_count_below_one_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a table, search or frame ran before the flags were checked")
+
+    for name in ("make_engine", "optimize", "peak_search", "monte_carlo"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = small_m1_config(tmp_path, m_values=[1]) if command == "bounds" else small_m1_config(tmp_path)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out, flag, value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and flag in captured.err
     assert captured.out == ""
     assert not out.exists()
 

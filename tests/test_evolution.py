@@ -417,25 +417,31 @@ def assert_same_seen(streamed, lockstep):
 
 def search_cases():
     """(topology, degree rows, T grid, max_iter) covering duplicate and
-    single candidates, maxima on either grid edge, unconverged rows and
-    random networks."""
+    single candidates, maxima on either grid edge, unconverged rows, random
+    networks, a t* row that is its step's slowest row (the bound at the
+    M = 2 Table-1 degrees: T = 19 210 in the second window) and a step
+    whose last row wins (one BS with 31 users at degree 1)."""
     m2 = full_topology(2, [10000] * 3)
+    m1 = full_topology(1, [31])
     g = [[1.81, 1.81, 1.68], [2.6, 2.2, 2.4], [1.81, 1.81, 1.68]]
     cases = [
         (m2, g, default_t_grid(m2), 2000),
+        (m2, g[:1], default_t_grid(m2), 2000),
         (m2, g[:1], range(6000, 12001, 1500), 2000),
         (m2, g[1:2], range(40000, 60001, 5000), 2000),
         (m2, g[:2], default_t_grid(m2), 20),
+        (m1, [[1.0]], default_t_grid(m1), 2000),
     ]
-    rng = np.random.default_rng(21)
-    for _ in range(4):
-        topo = random_topology(rng)
-        rows = [
-            [rng.uniform(0.2, min(3.0, grp.num_users)) if grp.num_users else 0.0
-             for grp in topo.groups]
-            for _ in range(3)
-        ]
-        cases.append((topo, rows, default_t_grid(topo), 2000))
+    for seed, n_topo, n_rows in ((21, 4, 3), (5, 3, 1)):
+        rng = np.random.default_rng(seed)
+        for _ in range(n_topo):
+            topo = random_topology(rng)
+            rows = [
+                [rng.uniform(0.2, min(3.0, grp.num_users)) if grp.num_users else 0.0
+                 for grp in topo.groups]
+                for _ in range(n_rows)
+            ]
+            cases.append((topo, rows, default_t_grid(topo), 2000))
     return cases
 
 
@@ -580,87 +586,36 @@ def test_rows_removed_mid_run_match_rows_alone(topo_m2, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_planned_search_replans_when_late_row_wins(mode, monkeypatch):
-    # At the M = 2 Table-1 degrees on the default grid, the bound's
-    # slowest row of the second window (T = 19 210) is t* itself.
-    m2 = full_topology(2, [10000] * 3)
-    cases = [
-        (m2, [1.81, 1.81, 1.68], default_t_grid(m2)),
-        (m2, [2.6, 2.2, 2.4], default_t_grid(m2)),
-    ]
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        topo = random_topology(rng)
-        g = [rng.uniform(0.2, min(3.0, grp.num_users)) if grp.num_users else 0.0
-             for grp in topo.groups]
-        cases.append((topo, g, default_t_grid(topo)))
-    added = []  # (rows in the pool before the add, frame lengths added)
-    pool_add = _RowPool.add
-
-    def add(pool, keys, p, t):
-        added.append((len(pool), list(t)))
-        pool_add(pool, keys, p, t)
-
-    dropped = kept = 0
-    for topo, g, grid in cases:
-        engine = make_engine(topo, mode)
-        p = np.array([TargetDegreeVector(tuple(g)).probabilities(topo)])
-        lockstep = oracles.batched_peak_search(engine, p, t_grid=grid)
-        added.clear()
-        with monkeypatch.context() as m:
-            m.setattr(_RowPool, "add", add)
-            planned = batched_peak_search(engine, p, t_grid=grid)
-        assert_same_seen(planned, lockstep)
-        # With one candidate, every row after the grid joins as a provisional
-        # row. Rows that never reach the results were dropped; one that
-        # joined while other rows still ran and reaches them was kept.
-        dropped += sum(len(ts) for _, ts in added) - len(planned[0])
-        kept += sum(t in planned[0] for n_rows, ts in added if n_rows for t in ts)
-    assert dropped > 0 and kept > 0
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_planned_search_ends_after_dropping_the_last_rows(mode, monkeypatch):
-    # One BS with 31 users at degree 1: the grid has unit steps around t*,
-    # and the committed step's last row wins. The re-plan then ends the
-    # search and drops every provisional row, which empties the pool.
-    topo = full_topology(1, [31])
-    engine = make_engine(topo, mode)
-    p = np.array([TargetDegreeVector((1.0,)).probabilities(topo)])
-    grid = default_t_grid(topo)
-    left = []  # rows in the pool after each remove()
-    pool_remove = _RowPool.remove
-
-    def remove(pool, keys):
-        pool_remove(pool, keys)
-        left.append(len(pool))
-
-    monkeypatch.setattr(_RowPool, "remove", remove)
-    planned = batched_peak_search(engine, p, t_grid=grid)
-    assert_same_seen(planned, oracles.batched_peak_search(engine, p, t_grid=grid))
-    assert 0 in left
-
-
-def test_planned_search_beats_waiting_for_each_step(topo_m2, monkeypatch):
-    # The coop search at the M = 2 Table-1 degrees. The lockstep oracle runs
-    # one candidate's steps one after another, each until its slowest row,
-    # which is what streaming without planning costs.
-    engine = make_engine(topo_m2, "coop")
+def test_search_beats_waiting_for_each_step(topo_m2, mode, monkeypatch):
+    # The search at the M = 2 Table-1 degrees. The lockstep oracle runs one
+    # candidate's steps one after another, each until its slowest row. The
+    # search does not wait for the rows decide() proves to lose, but still
+    # runs them to the end: every requested row reaches the results.
+    engine = make_engine(topo_m2, mode)
     p = np.array([TargetDegreeVector((1.81, 1.81, 1.68)).probabilities(topo_m2)])
     grid = default_t_grid(topo_m2)
-    calls = []
-    pool_step = _RowPool.step
+    calls, decided = [], []  # pool sizes at each step; keys T of decided rows
+    pool_step, pool_decide = _RowPool.step, _RowPool.decide
 
     def step(pool):
         calls.append(len(pool))
         return pool_step(pool)
 
+    def decide(pool, bar):
+        keys = pool_decide(pool, bar)
+        decided.extend(keys.tolist())
+        return keys
+
     monkeypatch.setattr(_RowPool, "step", step)
-    oracles.batched_peak_search(engine, p, t_grid=grid)
+    lockstep = oracles.batched_peak_search(engine, p, t_grid=grid)
     waiting = len(calls)
     calls.clear()
-    batched_peak_search(engine, p, t_grid=grid)
+    monkeypatch.setattr(_RowPool, "decide", decide)
+    seen = batched_peak_search(engine, p, t_grid=grid)
     assert len(calls) < waiting
+    assert_same_seen(seen, lockstep)
+    peak = seen[0][peak_t(seen[0])][0]
+    assert decided and all(seen[0][t][0] < peak for t in decided)
 
 
 @pytest.mark.parametrize("mode", MODES)
