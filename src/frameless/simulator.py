@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -462,6 +461,8 @@ def monte_carlo(
     if trials < 1:
         raise ValueError("need at least one trial")
     if workers > 1 and trials > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(

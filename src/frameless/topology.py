@@ -8,7 +8,6 @@ BS 1 on the least significant bit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -176,6 +175,8 @@ def structure_fingerprint(topology: NetworkTopology) -> str:
     Retrievability tables depend only on connectivity, so the cache key
     deliberately excludes user counts.
     """
+    import hashlib
+
     doc = {"num_bs": topology.num_bs, "masks": [g.bs_mask for g in topology.groups]}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 

@@ -20,10 +20,8 @@ once and cached on disk as one bit-packed file per connectivity.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +122,8 @@ def build_retrievability_tables(
 
     starts = range(0, n_pat, _CHUNK)
     if workers > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, starts))
     else:
@@ -142,6 +142,8 @@ def _table_path(cache_dir, fingerprint: str) -> Path:
 
 def _checksum(retrievable: np.ndarray, singleton: np.ndarray) -> str:
     """SHA-256 of the packed table arrays."""
+    import hashlib
+
     return hashlib.sha256(retrievable.tobytes() + singleton.tobytes()).hexdigest()
 
 

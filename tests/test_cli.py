@@ -590,3 +590,23 @@ def test_scripts_exit_like_the_cli_on_a_bad_config(tmp_path, script):
     )
     assert proc.returncode == EXIT_CONFIG
     assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_package_import_loads_no_pool_or_hashing_module():
+    # A fresh process pays for every module `import frameless` pulls in;
+    # the worker pools and hashlib load only where a run uses them.
+    code = (
+        "import sys, numpy, json\n"
+        "before = set(sys.modules)\n"
+        "import frameless\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(json.loads(proc.stdout))
+    assert "frameless" in added
+    assert not added & {"concurrent.futures", "multiprocessing", "hashlib"}
