@@ -388,6 +388,82 @@ def test_bounds_command(tmp_path):
         assert row["gamma_lower"] > 0
 
 
+M1 = {"topology": {"num_bs": 1, "groups": [{"bs_set": [1], "num_users": 2000}]},
+      "degrees": [3.0]}
+RNG = "# rng=numpy-philox4x64-10-gaps"
+
+# One tiny run per CSV kind: the lines after the tool_version, config_hash
+# and seed lines, byte for byte (the trace: up to its second row).
+PINNED_CSV = {
+    "curve.csv": ("analyze", {
+        "topology": {"num_bs": 1, "groups": [{"bs_set": [1], "num_users": 8}]},
+        "degrees": [3.0], "t_values": [8, 10, 12]}, [], [
+        RNG, "# mode=coop",
+        "T,plr_avg,plr_g1,throughput",
+        "6,0.8798878957495753,0.8798878957495753,0.16014947233389965",
+        "7,0.8417315553105603,0.8417315553105603,0.18087822250221677",
+        "8,0.7843075053193557,0.7843075053193557,0.21569249468064433",
+        "9,0.02325399482618414,0.02325399482618414,0.868218671265614",
+        "10,0.012108421635440571,0.012108421635440571,0.7903132626916476",
+        "11,0.006820441196489638,0.006820441196489638,0.722312406402553",
+        "12,0.003998889373666675,0.003998889373666675,0.6640007404175555",
+        "13,0.0023995547548628176,0.0023995547548628176,0.6139079663046998",
+    ]),
+    "trace.csv": ("analyze", {**M1, "trace_t": 2300}, ["--trace"], [
+        RNG, "# trace_t=2300",
+        "iteration,p_r0_g1,p_r1_g1",
+        "1,0.04974968602722932,0.0",
+        "2,0.07986944049449624,0.0",
+    ]),
+    "trials.csv": ("simulate", {**M1, "trials": 2, "t": 2300}, [], [
+        RNG, "# mode=fixed",
+        "trial,seed,T,n_ret,throughput,plr_g1",
+        "0,8668861027912758289,2300,1903,0.827391304347826,0.04849999999999999",
+        "1,4881901421217228719,2300,1900,0.8260869565217391,0.050000000000000044",
+    ]),
+    "optimum.csv": ("optimize", {**M1, "population": 8, "generations": 1,
+                                 "bounds": [1.6, 1.9]}, [], [
+        RNG,
+        "g1,t_star,throughput,feasible",
+        "1.8937,2497,0.6447479964045286,1",
+    ]),
+    "bounds.csv": ("bounds", {"m_values": [1, 2], "num_users_per_group": 1000,
+                              "bound_population": 4, "bound_generations": 1}, [], [
+        RNG,
+        "m,s_noncoop,s_lower,s_upper,s_exact,gamma_lower,gamma_exact,gamma_upper",
+        "1,0.8744004745719122,0.6432932021881713,0.87,,0.7356963095235212,,"
+        "0.9949674380333947",
+        "2,1.3254648108498448,1.3963107630492884,1.74,,1.0534498929126752,,"
+        "1.3127470346680639",
+    ]),
+    "compare.csv": ("compare", {
+        "topology": {"num_bs": 2, "groups": [
+            {"bs_set": [1], "num_users": 200}, {"bs_set": [2], "num_users": 200},
+            {"bs_set": [1, 2], "num_users": 200}]},
+        "degrees": [1.8, 1.8, 1.7], "replica_dist": {"2": 1.0},
+        "gbar_values": [0.5, 0.8], "trials": 2}, [], [
+        RNG,
+        "gbar,t,frameless_throughput,frameless_stderr,frameless_plr,"
+        "baseline_throughput,baseline_stderr,baseline_plr,plr_floor,delta_throughput",
+        "0.5,600,0.49875,0.00041666666666664853,0.0025000000000000022,0.49875,"
+        "0.0012500000000000011,0.0025000000000000022,0.004926763838235052,0.0",
+        "0.8,375,0.762,0.0020000000000000018,0.04750000000000004,0.5073333333333333,"
+        "0.025999999999999995,0.36583333333333334,0.03603831268966966,0.2546666666666667",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CSV))
+def test_csv_bytes_are_pinned(tmp_path, name):
+    command, doc, flags, expected = PINNED_CSV[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out, *flags]) == EXIT_OK
+    got = (out / name).read_text().splitlines()[3:]
+    assert (got[:len(expected)] if name == "trace.csv" else got) == expected
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
