@@ -3,6 +3,8 @@
 Every command reads a JSON config, writes CSV (canonical) plus a JSON
 mirror into --out, and embeds the config hash, tool version, and seed in
 each output so identical configs reproduce identical primary columns.
+This module alone lays out output files: `_table_lines` writes every CSV
+and `_emit_json` every JSON file; the library's result types hold data.
 
 Exit codes: 0 success, 2 config error, 3 guard refusal (exact analysis
 of more than 15 groups), 4 non-convergence / no feasible optimum.
@@ -207,11 +209,6 @@ def _provenance(doc: dict, args) -> dict:
     return {"tool_version": __version__, "config_hash": config_hash(doc), "seed": args.seed}
 
 
-def _meta_lines(doc: dict, args, extra=None) -> list[str]:
-    meta = {**_provenance(doc, args), "rng": RNG_ID, **(extra or {})}
-    return [f"# {k}={v}" for k, v in meta.items()]
-
-
 def _write(path: Path, lines):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -222,11 +219,17 @@ def _emit_json(path: Path, doc: dict, payload: dict, args):
     _write(path, [json.dumps(full, indent=2, sort_keys=True)])
 
 
-def _table_lines(doc: dict, args, cols, rows) -> list[str]:
-    """Provenance, a header of cols, then one line per row dict (blank for
-    a missing column); str of a Python float is its repr."""
+def _table_lines(doc: dict, args, cols, rows, extra=None) -> list[str]:
+    """The text of every CSV output: provenance, rng and extra as comment
+    lines, a header of cols, then one line per row dict (blank for a missing
+    column); str of a Python float is its repr."""
+    meta = {**_provenance(doc, args), "rng": RNG_ID, **(extra or {})}
     body = [",".join(str(row.get(c, "")) for c in cols) for row in rows]
-    return _meta_lines(doc, args) + [",".join(cols), *body]
+    return [f"# {k}={v}" for k, v in meta.items()] + [",".join(cols), *body]
+
+
+def _per_group(name: str, n_groups: int) -> list[str]:
+    return [f"{name}{i + 1}" for i in range(n_groups)]
 
 
 def _print_summary(payload: dict):
@@ -242,7 +245,9 @@ def cmd_analyze(args) -> int:
         raise ConfigError("--trace requires cooperative mode")
     with _spec_checks():  # before any table is built
         transmission_probabilities(topology, degrees, mode)
-    t_vals = cfg["t_values"] if "t_values" in doc else cfg["t_grid"]
+    if "t_values" in doc and "t_grid" in doc:
+        raise ConfigError("give 't_values' or 't_grid', not both")
+    t_vals = cfg["t_values"] or cfg["t_grid"]
     if t_vals is None and args.grid_points < 1:
         raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     out_dir = Path(args.out)
@@ -251,10 +256,11 @@ def cmd_analyze(args) -> int:
         topology, degrees, mode, engine=engine, t_grid=t_vals, points=args.grid_points
     )
     curve = peak.curve
-    _write(
-        out_dir / "curve.csv",
-        _meta_lines(doc, args, {"mode": mode}) + [curve.header(), *curve.csv_rows()],
-    )
+    cols = ["T", "plr_avg", *_per_group("plr_g", topology.num_groups), "throughput"]
+    rows = [dict(zip(cols, [t, plr, *plrs, s])) for t, plr, plrs, s in zip(
+        curve.t.tolist(), curve.plr_avg.tolist(), curve.plr_groups.tolist(),
+        curve.throughput.tolist())]
+    _write(out_dir / "curve.csv", _table_lines(doc, args, cols, rows, {"mode": mode}))
     payload = {
         "mode": mode,
         "t_star": peak.t_star,
@@ -269,17 +275,11 @@ def cmd_analyze(args) -> int:
         trace_t = cfg["trace_t"] or peak.t_star
         res = evolve(topology, degrees, trace_t, engine=engine, trace=True)
         n_groups = topology.num_groups
-        header = "iteration," + ",".join(
-            f"p_r{r}_g{i + 1}" for r in (0, 1) for i in range(n_groups)
-        )
-        rows = [
-            ",".join([str(k + 1)] + [repr(float(v)) for v in (*r0, *r1)])
-            for k, (r0, r1) in enumerate(zip(res.trace_r0, res.trace_r1))
-        ]
-        _write(
-            out_dir / "trace.csv",
-            _meta_lines(doc, args, {"trace_t": trace_t}) + [header, *rows],
-        )
+        cols = ["iteration", *_per_group("p_r0_g", n_groups), *_per_group("p_r1_g", n_groups)]
+        rows = [dict(zip(cols, [k, *r0, *r1])) for k, (r0, r1) in enumerate(
+            zip(res.trace_r0.tolist(), res.trace_r1.tolist()), start=1)]
+        _write(out_dir / "trace.csv",
+               _table_lines(doc, args, cols, rows, {"trace_t": trace_t}))
     _print_summary(payload)
     return EXIT_OK if peak.converged else EXIT_NONCONV
 
@@ -302,11 +302,14 @@ def cmd_simulate(args) -> int:
         )
     result = monte_carlo(spec, cfg["trials"], workers=args.workers)
     out_dir = Path(args.out)
-    _write(
-        out_dir / "trials.csv",
-        _meta_lines(doc, args, {"mode": mode})
-        + [result.csv_header(), *result.csv_rows()],
-    )
+    cols = ["trial", "seed", "T", "n_ret", "throughput",
+            *_per_group("plr_g", spec.topology.num_groups)]
+    rows = [dict(zip(cols, [k, int(spec.trial_seed(k).generate_state(1, np.uint64)[0]),
+                            t, n_ret, s, *plrs]))
+            for k, (t, n_ret, s, plrs) in enumerate(zip(
+                result.t.tolist(), result.n_ret.tolist(), result.throughput.tolist(),
+                result.plr_groups.tolist()))]
+    _write(out_dir / "trials.csv", _table_lines(doc, args, cols, rows, {"mode": mode}))
     payload = result.summary()
     _emit_json(out_dir / "aggregate.json", doc, payload, args)
     _print_summary({k: payload[k] for k in ("mean_throughput", "stderr_throughput",
@@ -323,13 +326,10 @@ def cmd_optimize(args) -> int:
     out_dir = Path(args.out)
     payload = result.summary()
     _emit_json(out_dir / "optimum.json", doc, payload, args)
-    gcols = ",".join(f"g{i+1}" for i in range(topology.num_groups))
-    gvals = ",".join(f"{v:.4f}" for v in result.best_g)
-    _write(
-        out_dir / "optimum.csv",
-        _meta_lines(doc, args)
-        + [f"{gcols},t_star,throughput,feasible", f"{gvals},{result.t_star},{result.throughput!r},{int(result.feasible)}"],
-    )
+    cols = [*_per_group("g", topology.num_groups), "t_star", "throughput", "feasible"]
+    row = dict(zip(cols, [*(f"{v:.4f}" for v in result.best_g), result.t_star,
+                          float(result.throughput), int(result.feasible)]))
+    _write(out_dir / "optimum.csv", _table_lines(doc, args, cols, [row]))
     _print_summary({"best_g": [round(v, 4) for v in result.best_g],
                     "throughput": result.throughput, "t_star": result.t_star,
                     "feasible": result.feasible})

@@ -456,21 +456,6 @@ class PlrCurve:
     throughput: np.ndarray
     converged: np.ndarray
 
-    CSV_PREFIX = "T,plr_avg"
-
-    def header(self) -> str:
-        n_groups = self.plr_groups.shape[1]
-        cols = ",".join(f"plr_g{i + 1}" for i in range(n_groups))
-        return f"{self.CSV_PREFIX},{cols},throughput"
-
-    def csv_rows(self):
-        for k in range(len(self.t)):
-            plrs = ",".join(repr(float(v)) for v in self.plr_groups[k])
-            yield (
-                f"{int(self.t[k])},{float(self.plr_avg[k])!r},{plrs},"
-                f"{float(self.throughput[k])!r}"
-            )
-
 
 @dataclass(frozen=True)
 class PeakResult:

@@ -422,20 +422,6 @@ class MonteCarloResult:
     def mean_t(self) -> float:
         return math.fsum(self.t) / self.trials
 
-    def csv_header(self) -> str:
-        n_groups = self.plr_groups.shape[1]
-        cols = ",".join(f"plr_g{i + 1}" for i in range(n_groups))
-        return f"trial,seed,T,n_ret,throughput,{cols}"
-
-    def csv_rows(self):
-        for k in range(self.trials):
-            seed = int(self.spec.trial_seed(k).generate_state(1, np.uint64)[0])
-            plrs = ",".join(repr(float(v)) for v in self.plr_groups[k])
-            yield (
-                f"{k},{seed},{int(self.t[k])},{int(self.n_ret[k])},"
-                f"{float(self.throughput[k])!r},{plrs}"
-            )
-
     def summary(self) -> dict:
         return {
             "trials": self.trials,

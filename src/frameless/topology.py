@@ -24,12 +24,8 @@ def mask_to_bs_set(mask: int) -> tuple[int, ...]:
 
 
 def bs_set_to_mask(bs_set) -> int:
-    mask = 0
-    for j in bs_set:
-        if j < 1:
-            raise TopologyError(f"BS indices are 1-based, got {j}")
-        mask |= 1 << (j - 1)
-    return mask
+    """Distinct 1-based BS indices -> bitmask."""
+    return sum(1 << (j - 1) for j in bs_set)
 
 
 @dataclass(frozen=True)
@@ -68,19 +64,20 @@ class NetworkTopology:
                 f"{len(self.groups)} groups exceeds 2^M-1 = {2**self.num_bs - 1}"
             )
         seen = set()
-        for g in self.groups:
+        for k, g in enumerate(self.groups):
             if g.bs_mask == 0:
-                raise TopologyError("group with empty bs_set")
+                raise TopologyError(f"group {k}: empty bs_set")
             if g.bs_mask >= 2**self.num_bs:
                 raise TopologyError(
-                    f"bs_set {mask_to_bs_set(g.bs_mask)} references BS beyond M={self.num_bs}"
+                    f"group {k}: bs_set {mask_to_bs_set(g.bs_mask)} references BS "
+                    f"beyond M={self.num_bs}"
                 )
             if g.bs_mask in seen:
                 raise TopologyError(
-                    f"duplicate bs_set {mask_to_bs_set(g.bs_mask)}"
+                    f"group {k}: duplicate bs_set {mask_to_bs_set(g.bs_mask)}"
                 )
             if g.num_users < 0:
-                raise TopologyError(f"negative num_users {g.num_users}")
+                raise TopologyError(f"group {k}: negative num_users {g.num_users}")
             seen.add(g.bs_mask)
 
     @property
@@ -121,6 +118,25 @@ def full_topology(num_bs: int, counts) -> NetworkTopology:
     return NetworkTopology(num_bs=num_bs, groups=groups)
 
 
+def _field(obj: dict, key: str, where: str, ok, what: str):
+    """obj[key] when ok(obj[key]); else a TopologyError naming where and key."""
+    if key not in obj:
+        raise TopologyError(f"{where}missing field '{key}'")
+    if not ok(obj[key]):
+        raise TopologyError(f"{where}'{key}' must be {what}, got {obj[key]!r}")
+    return obj[key]
+
+
+def _only(obj: dict, keys, where: str):
+    for key in obj:
+        if key not in keys:
+            raise TopologyError(f"{where}unknown key '{key}'")
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # JSON true and 2.7 are not integers
+
+
 def load_topology(text: str) -> NetworkTopology:
     """Parse a JSON topology document.
 
@@ -129,7 +145,9 @@ def load_topology(text: str) -> NetworkTopology:
         {"num_bs": int,
          "groups": [{"bs_set": [int, ...], "num_users": int}, ...]}
 
-    BS indices are 1-based. Raises TopologyError on any violation.
+    BS indices are 1-based and distinct within a group. Numbers must be
+    JSON integers, and no other key is allowed. Raises TopologyError,
+    naming the group and the field, on any violation.
     """
     try:
         doc = json.loads(text)
@@ -137,22 +155,23 @@ def load_topology(text: str) -> NetworkTopology:
         raise TopologyError(f"config does not parse as JSON: {e}") from e
     if not isinstance(doc, dict):
         raise TopologyError("topology config must be a JSON object")
-    try:
-        num_bs = int(doc["num_bs"])
-        raw_groups = doc["groups"]
-    except KeyError as e:
-        raise TopologyError(f"missing field {e}") from e
-    if not isinstance(raw_groups, list) or not raw_groups:
-        raise TopologyError("'groups' must be a non-empty list")
+    _only(doc, ("num_bs", "groups"), "")
+    num_bs = _field(doc, "num_bs", "", _is_int, "an integer")
+    raw_groups = _field(doc, "groups", "", lambda v: isinstance(v, list) and v,
+                        "a non-empty list")
     groups = []
     for k, rg in enumerate(raw_groups):
-        try:
-            bs_set = rg["bs_set"]
-            num_users = int(rg["num_users"])
-        except (KeyError, TypeError) as e:
-            raise TopologyError(f"group {k}: {e}") from e
-        if not bs_set:
-            raise TopologyError(f"group {k}: empty bs_set")
+        where = f"group {k}: "
+        if not isinstance(rg, dict):
+            raise TopologyError(f"{where}must be an object, got {rg!r}")
+        _only(rg, ("bs_set", "num_users"), where)
+        bs_set = _field(
+            rg, "bs_set", where,
+            lambda v: isinstance(v, list) and v
+            and all(_is_int(j) and j >= 1 for j in v) and len(set(v)) == len(v),
+            "a non-empty list of distinct BS indices >= 1")
+        num_users = _field(rg, "num_users", where, lambda v: _is_int(v) and v >= 0,
+                           "an integer >= 0")
         groups.append(GroupSpec(bs_mask=bs_set_to_mask(bs_set), num_users=num_users))
     return NetworkTopology(num_bs=num_bs, groups=tuple(groups))
 

@@ -98,6 +98,16 @@ def test_empty_or_nonpositive_t_grid_is_a_config_error(tmp_path, capsys, extra, 
     assert not out.exists()
 
 
+def test_t_values_with_t_grid_is_a_config_error(tmp_path, capsys):
+    cfg = small_m1_config(tmp_path, t_values=[2000, 2500],
+                          t_grid={"start": 1000, "stop": 3000, "num": 5})
+    out = tmp_path / "out"
+    assert run(["analyze", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'t_values'" in err and "'t_grid'" in err
+    assert not out.exists()
+
+
 def test_analyze_trace_t_below_one_fails_before_any_output(tmp_path, capsys):
     cfg = small_m1_config(tmp_path, trace_t=0)
     out = tmp_path / "out"
@@ -133,6 +143,10 @@ NAMED_ERRORS = [
     ("bounds", {"m_values": [1], "num_users_per_group": 0}, "num_users_per_group"),
     ("bounds", {"m_values": [1], "noncoop_degree": 0}, "noncoop_degree"),
     ("bounds", {"m_values": []}, "m_values"),
+    ("analyze", {"topology": {"num_bs": 1, "groups": [{"bs_set": [1], "num_users": 2.7}]}},
+     "num_users"),
+    ("simulate", {"topology": {"num_bs": 2, "groups": [{"bs_set": [2, 2], "num_users": 5}]}},
+     "bs_set"),
 ]
 NAMED_ERROR_IDS = [
     "simulate-trials-not-an-integer", "simulate-trials-true",
@@ -143,7 +157,7 @@ NAMED_ERROR_IDS = [
     "simulate-misspelled-trials", "optimize-misspelled-population",
     "bounds-misspelled-m-values", "compare-misspelled-gbar-values",
     "analyze-misspelled-t-grid-num", "bounds-users-0", "bounds-noncoop-degree-0",
-    "bounds-m-values-empty",
+    "bounds-m-values-empty", "analyze-users-not-an-integer", "simulate-bs-set-repeats",
 ]
 
 

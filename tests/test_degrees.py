@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from frameless.evolution import _RowPool, make_engine
+from frameless.topology import full_topology
 from oracles import (
     DegreePolynomial,
     edge_perspective,
@@ -141,3 +143,36 @@ def test_derivative_closed_form():
     d = observation_node_dist(7, 0.4)
     x = 0.3
     assert d.derivative_at(x) == pytest.approx(7 * 0.4 * (1 - 0.4 + 0.4 * x) ** 6, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["coop", "noncoop", "bound"])
+def test_row_pool_map_matches_the_degree_distributions(mode):
+    # At x, the pool's map hands w_of R = R_i(1 - x) and rho = rho_i(1 - x),
+    # the observation-node distribution and its edge perspective, and maps
+    # each chain to F_T(x) = lambda_i(w), lambda_i the edge perspective of
+    # the variable-node distribution L_i over T slots.
+    topo = full_topology(2, [1, 300, 2000])
+    pool = _RowPool(make_engine(topo, mode), max_iter=10, tol=1e-12)
+    handed, w_of = [], pool.w_of
+
+    def recording_w_of(x, p, big_r, rho):
+        handed.append((big_r, rho))
+        return w_of(x, p, big_r, rho)
+
+    pool.w_of = recording_w_of
+    t = np.array([1, 2, 37, 16069])
+    g = np.array([[0.5, 1.5, 2.0], [1.0, 3.0, 3.1], [0.0, 0.2, 4.0], [0.9, 1.8, 1.7]])
+    p = (g / [grp.num_users for grp in topo.groups])[:, pool.columns]
+    x = np.random.default_rng(3).random(p.shape)
+    x[0], x[1, 0] = 1.0, 0.0
+    w, f = pool._map(x, p, 1.0 - p, t[:, None] - 1.0)
+    (big_r, rho), = handed
+    for r, c in np.ndindex(p.shape):
+        n = topo.groups[pool.columns[c]].num_users
+        obs = observation_node_dist(n, p[r, c])
+        assert big_r[r, c] == pytest.approx(obs.eval(1.0 - x[r, c]), rel=1e-12, abs=0)
+        if p[r, c] > 0:  # the edge perspective needs a mean degree above 0
+            assert rho[r, c] == pytest.approx(
+                edge_perspective(obs).eval(1.0 - x[r, c]), rel=1e-12, abs=0)
+            lam = edge_perspective(variable_node_dist(int(t[r]), p[r, c]))
+            assert f[r, c] == pytest.approx(lam.eval(w[r, c]), rel=1e-12, abs=0)

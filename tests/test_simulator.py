@@ -311,10 +311,6 @@ def test_csv_and_summary_shape():
     spec = SimulationSpec(topology=topo, mode="frameless",
                           degrees=(1.5, 1.5, 1.5), alpha=0.8, master_seed=1)
     mc = monte_carlo(spec, trials=3)
-    header = mc.csv_header()
-    assert header == "trial,seed,T,n_ret,throughput,plr_g1,plr_g2,plr_g3"
-    rows = list(mc.csv_rows())
-    assert len(rows) == 3
     summary = mc.summary()
     assert summary["rng"] == RNG_ID
     assert summary["trials"] == 3

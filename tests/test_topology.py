@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import random_topology
 
 from frameless.topology import (
     GroupSpec,
@@ -148,3 +151,57 @@ def test_config_hash_roundtrips_floats():
     topo = full_topology(2, (123, 456, 789))
     doc = json.loads(serialize_topology(topo))
     assert doc["groups"][2] == {"bs_set": [1, 2], "num_users": 789}
+
+
+TOPOLOGY_ERRORS = [
+    ({"num_users": 2.7}, "group 0: 'num_users'"),
+    ({"num_users": "5"}, "group 0: 'num_users'"),
+    ({"num_users": True}, "group 0: 'num_users'"),
+    ({"num_users": -1}, "group 0: 'num_users'"),
+    ({"bs_set": [2, 2]}, "group 0: 'bs_set'"),
+    ({"bs_set": [0]}, "group 0: 'bs_set'"),
+    ({"bs_set": [1.0]}, "group 0: 'bs_set'"),
+    ({"bs_set": [True]}, "group 0: 'bs_set'"),
+    ({"bs_set": "1"}, "group 0: 'bs_set'"),
+    ({"users": 3}, "group 0: unknown key 'users'"),
+]
+
+
+@pytest.mark.parametrize("field, match", TOPOLOGY_ERRORS,
+                         ids=[m.split(": ")[1] + f"={f}" for f, m in TOPOLOGY_ERRORS])
+def test_group_fields_are_parsed_strictly(field, match):
+    doc = {"num_bs": 2, "groups": [{"bs_set": [1], "num_users": 5, **field},
+                                   {"bs_set": [2], "num_users": 5}]}
+    with pytest.raises(TopologyError) as e:
+        load_topology(json.dumps(doc))
+    assert str(e.value).startswith(match)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"num_bs": 1.0}, "'num_bs'"),
+    ({"num_bs": "1"}, "'num_bs'"),
+    ({"num_bs": True}, "'num_bs'"),
+    ({"name": "m1"}, "unknown key 'name'"),
+    ({"groups": []}, "'groups'"),
+    ({"groups": [[1]]}, "group 0: must be an object"),
+    ({"groups": [{"bs_set": [2], "num_users": 5}]}, "group 0: bs_set (2,) references BS"),
+    ({"num_bs": 2, "groups": [{"bs_set": [1], "num_users": 5},
+                              {"bs_set": [1], "num_users": 6}]},
+     "group 1: duplicate bs_set"),
+])
+def test_top_level_fields_are_parsed_strictly(doc, match):
+    doc = {"num_bs": 1, "groups": [{"bs_set": [1], "num_users": 5}], **doc}
+    with pytest.raises(TopologyError) as e:
+        load_topology(json.dumps(doc))
+    assert str(e.value).startswith(match)
+
+
+def test_every_shipped_and_serialized_topology_loads():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    docs = [json.loads(p.read_text()) for p in sorted(configs.glob("*.json"))]
+    topologies = [load_topology(json.dumps(d["topology"])) for d in docs if "topology" in d]
+    assert len(topologies) >= 5
+    rng = np.random.default_rng(0)
+    topologies += [random_topology(rng) for _ in range(20)] + [full_topology(3, range(7))]
+    for topo in topologies:
+        assert load_topology(serialize_topology(topo)) == topo
